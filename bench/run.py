@@ -3,15 +3,16 @@
 
 Usage, from the root of a checkout:
 
-    python3 bench/run.py --workload paper_default --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload paper_default --seed 1 --seconds 30 --trace 0
 
 Each run imports ``shiftadapt`` from this checkout's ``src/``, generates the
 workload's inputs from ``--seed`` and then, in a closed loop (one pipeline at
 a time, one process), drives ``shiftadapt.cli.main`` through ``pretrain``,
 ``adapt`` and ``evaluate`` until ``--seconds`` are used up. Every output is
-checked. With ``--trace 0`` the last stdout line reports the end-to-end
-metrics; with ``--trace 1`` untraced and traced pipelines alternate and it
-reports the per-layer metrics. Each run also appends a full record
+checked. Times are reference-scaled seconds (see ``bench/reference.py``).
+With ``--trace 0`` the last stdout line reports the end-to-end metrics; with
+``--trace 1`` untraced and traced pipelines alternate and it reports the
+per-layer metrics. Each run also appends a full record
 (environment, samples, output digests) to ``.bench_out/results.jsonl``,
 which ``bench/compare.py`` reads. See ``bench/README.md``.
 """
@@ -39,8 +40,15 @@ SRC = ROOT / "src"
 if str(BENCH_DIR) not in sys.path:
     sys.path.insert(0, str(BENCH_DIR))
 
+# One BLAS thread: the load is one closed loop, and on a two-processor host a
+# second BLAS thread adds scheduling noise rather than work. Set before numpy
+# is imported; a caller's own setting wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np  # noqa: E402
 
+from reference import Clock  # noqa: E402
 from tracer import LAYERS, Tracer, self_times  # noqa: E402
 from workloads import WORKLOADS, run_config  # noqa: E402
 
@@ -140,26 +148,28 @@ class OperationFailed(Exception):
 
 
 class Operations:
-    """Counts CLI commands attempted and failed; each failure is logged."""
+    """Runs and counts CLI commands, attempted and failed; each failure is logged."""
 
     def __init__(self):
         self.attempted = 0
         self.failed = 0
+        self.clock = Clock()
 
-    def run(self, cli, argv) -> float:
-        """Run one command in-process, its stdout discarded; wall seconds."""
+    def run(self, cli, argv) -> None:
+        """Run one command in-process, its stdout discarded."""
         self.attempted += 1
-        gc.collect()  # start each command with no garbage left by the previous one
-        t0 = time.perf_counter()
         try:
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = cli.main([str(a) for a in argv])
         except Exception as exc:  # a crash is a failed operation, not a benchmark error
             self.fail(f"{argv[0]} raised {type(exc).__name__}: {exc}")
-        seconds = time.perf_counter() - t0
         if rc != 0:
             self.fail(f"{argv[0]} exited {rc}")
-        return seconds
+
+    def timed(self, cli, argv) -> tuple[float, float]:
+        """Run one command; (reference-scaled seconds, wall seconds)."""
+        gc.collect()  # start each command with no garbage left by the previous one
+        return self.clock.time(lambda: self.run(cli, argv))
 
     def fail(self, message):
         self.failed += 1
@@ -212,15 +222,19 @@ def setup(ops, work: Path, workload: str, seed: int, k: int):
     inputs = work / f"inputs-{k}"
     shutil.rmtree(inputs, ignore_errors=True)
     forget_shiftadapt()
-    t0 = time.perf_counter()
-    cli = import_shiftadapt()
-    with open(work / f"run_config-{k}.json", "w", encoding="utf-8") as fh:
-        json.dump(run_config(cli, workload, seed * SUBSEEDS + k, str(inputs)), fh,
-                  indent=2, sort_keys=True)
-    ops.run(cli, ["synth", "--config", work / f"run_config-{k}.json"])
-    seconds = time.perf_counter() - t0
+    imported = []
+
+    def steps():
+        cli = import_shiftadapt()
+        with open(work / f"run_config-{k}.json", "w", encoding="utf-8") as fh:
+            json.dump(run_config(cli, workload, seed * SUBSEEDS + k, str(inputs)), fh,
+                      indent=2, sort_keys=True)
+        ops.run(cli, ["synth", "--config", work / f"run_config-{k}.json"])
+        imported.append(cli)
+
+    seconds, _ = ops.clock.time(steps)
     _require(ops, inputs, DECLARED["synth"])
-    return cli, seconds
+    return imported[0], seconds
 
 
 def config_sha256(cli, work: Path, workload: str) -> str:
@@ -239,25 +253,27 @@ def pipeline(ops, cli, work: Path, k: int, stage_span=None):
     span = stage_span or (lambda name: contextlib.nullcontext())
     cfg_path, inputs, rep = work / f"run_config-{k}.json", work / f"inputs-{k}", work / "rep"
     shutil.rmtree(rep, ignore_errors=True)
-    rep.mkdir(parents=True)
-    times = {}
+    rep.mkdir(parents=True, exist_ok=True)
+    times, wall = {}, {}
     with span("bench.pretrain"):
-        times["pretrain"] = ops.run(
+        times["pretrain"], wall["pretrain"] = ops.timed(
             cli, ["pretrain", "--config", cfg_path, "--set", f"output.directory={rep}/pretrain"])
     _require(ops, rep / "pretrain", DECLARED["pretrain"])
     _require_finite(ops, rep / "pretrain" / "pretrained.npz")
     with span("bench.adapt"):
-        times["adapt"] = ops.run(
+        times["adapt"], wall["adapt"] = ops.timed(
             cli, ["adapt", "--config", cfg_path, "--set", f"output.directory={rep}/adapt",
                   "--set", f"model.checkpoint={rep}/pretrain/pretrained.npz"])
     _require(ops, rep / "adapt", DECLARED["adapt"])
     _require_finite(ops, rep / "adapt" / "adapted.npz")
     with span("bench.evaluate"):
-        times["evaluate"] = sum(
-            ops.run(cli, ["evaluate", "--checkpoint", rep / stage / checkpoint,
-                          "--data", inputs / "target_labels.jsonl",
-                          "--out", rep / f"evaluate-{stage}.json"])
-            for stage, checkpoint, _ in EVALUATED)
+        evaluated = [
+            ops.timed(cli, ["evaluate", "--checkpoint", rep / stage / checkpoint,
+                            "--data", inputs / "target_labels.jsonl",
+                            "--out", rep / f"evaluate-{stage}.json"])
+            for stage, checkpoint, _ in EVALUATED]
+        times["evaluate"] = sum(scaled for scaled, _ in evaluated)
+        wall["evaluate"] = sum(seconds for _, seconds in evaluated)
     _require(ops, rep, [f"evaluate-{stage}.json" for stage, _, _ in EVALUATED])
 
     with open(rep / "adapt" / "summary.json", encoding="utf-8") as fh:
@@ -275,6 +291,7 @@ def pipeline(ops, cli, work: Path, k: int, stage_span=None):
     return {
         "subseed": k,
         "times": times,
+        "wall": wall,
         "pipeline_s": sum(times.values()),
         "ba_before": summary["ba_before"],
         "ba_after": summary["ba_after"],
@@ -379,7 +396,6 @@ def layer_metrics(tracer: Tracer, run: int, observed: Observed, sample) -> dict:
     out["mmd.pairwise_bytes"] = observed.pairwise_entries * 8  # float64 entries
     out["adapt.iterations"] = sample["iterations"]
     out["adapt.replacement_batches"] = sample["replacement_batches"]
-    out["pipeline_s"] = inclusive_s("bench.pretrain", "bench.adapt", "bench.evaluate")
     return out
 
 
@@ -438,7 +454,7 @@ def _traced_pipeline(ops, cli, tracer: Tracer, work: Path, k: int):
     tracer.install(observed.observers())
     try:
         with tracer.span("bench.synth"):
-            ops.run(cli, ["synth", "--config", work / f"run_config-{k}.json"])
+            ops.timed(cli, ["synth", "--config", work / f"run_config-{k}.json"])
         sample = pipeline(ops, cli, work, k, tracer.span)
     finally:
         tracer.uninstall()
@@ -473,12 +489,14 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, out_root: Pat
                 plain.append(pipeline(ops, cli, work, len(plain) % SUBSEEDS))
             done = plain + traced
             enough = len(plain) >= MIN_REPS and (not trace or len(traced) >= MIN_REPS)
-            if enough and time.perf_counter() + _median([s["pipeline_s"] for s in done]) > deadline:
+            next_wall = _median([sum(s["wall"].values()) for s in done])
+            if enough and time.perf_counter() + next_wall > deadline:
                 break
         firsts = by_subseed(ops, done)
         record["samples"] = {
             "setup_s": setups,
-            "pipeline": [{k: s[k] for k in ("subseed", "times", "pipeline_s")} for s in plain],
+            "pipeline": [{k: s[k] for k in ("subseed", "times", "wall", "pipeline_s")}
+                         for s in plain],
         }
         record["subseeds"] = {
             k: {key: s[key] for key in ("ba_before", "ba_after", "digests")}
@@ -488,10 +506,10 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, out_root: Pat
             values = {name: _median([m[name] for m in layers]) for name in PER_LAYER
                       if name != "trace_overhead_frac"}
             values["trace_overhead_frac"] = (
-                _median([m["pipeline_s"] for m in layers])
+                _median([s["pipeline_s"] for s in traced])
                 / _median([s["pipeline_s"] for s in plain]) - 1.0
             )
-            record["samples"]["traced_pipeline_s"] = [m["pipeline_s"] for m in layers]
+            record["samples"]["traced_pipeline_s"] = [s["pipeline_s"] for s in traced]
             spans_path = out_root / ".bench_out" / f"spans-{workload}-s{seed}.csv"
             spans_path.parent.mkdir(parents=True, exist_ok=True)
             tracer.write_csv(spans_path)

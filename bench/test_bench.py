@@ -18,6 +18,7 @@ for path in (BENCH, ROOT / "src"):
         sys.path.insert(0, str(path))
 
 import compare  # noqa: E402
+import reference  # noqa: E402
 import run  # noqa: E402
 from tracer import Tracer, self_times  # noqa: E402
 from workloads import WORKLOADS, run_config  # noqa: E402
@@ -44,6 +45,39 @@ def test_self_times_on_nested_fake_spans():
     start = np.array([0.0, 1.0, 2.0, 5.0, 20.0])
     end = np.array([10.0, 4.0, 3.0, 9.0, 21.0])
     assert self_times(parent, start, end).tolist() == [3.0, 2.0, 1.0, 4.0, 1.0]
+
+
+def test_clock_scales_wall_time_by_the_reference(monkeypatch):
+    # The reference takes 2x and then 4x its nominal time around a step:
+    # the step ran on a processor three times slower than nominal.
+    refs = iter([2 * reference.NOMINAL_S, 4 * reference.NOMINAL_S])
+    monkeypatch.setattr(reference, "reference_seconds", lambda: next(refs))
+    clock = reference.Clock()
+    scaled, wall = clock.time(lambda: None)
+    assert wall >= 0 and scaled == pytest.approx(wall / 3)
+
+
+def test_clock_reuses_a_fresh_reference(monkeypatch):
+    calls = []
+    monkeypatch.setattr(reference, "reference_seconds",
+                        lambda: calls.append(1) or reference.NOMINAL_S)
+    clock = reference.Clock()
+    clock.time(lambda: None)
+    clock.time(lambda: None)  # reuses the previous step's "after" reference
+    assert len(calls) == 3
+
+
+def test_span_csv_holds_plain_numbers(tmp_path):
+    tracer = Tracer()
+    with tracer.span("bench.outer"):
+        with tracer.span("bench.inner"):
+            pass
+    tracer.write_csv(tmp_path / "spans.csv")
+    rows = [line.split(",") for line in (tmp_path / "spans.csv").read_text().splitlines()]
+    assert rows[0] == ["span", "name", "parent", "run", "start_s", "end_s"]
+    assert [r[1:3] for r in rows[1:]] == [["bench.outer", "-1"], ["bench.inner", "0"]]
+    for r in rows[1:]:
+        assert float(r[5]) >= float(r[4])
 
 
 def test_tracer_rebinds_every_namespace_and_restores():

@@ -181,7 +181,7 @@ class Tracer:
             fh.write("span,name,parent,run,start_s,end_s\n")
             for i in range(nid.size):
                 fh.write(f"{i},{names[nid[i]]},{parent[i]},{run_id[i]},"
-                         f"{start[i]!r},{end[i]!r}\n")
+                         f"{float(start[i])!r},{float(end[i])!r}\n")
 
 
 def self_times(parent: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
