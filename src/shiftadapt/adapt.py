@@ -41,7 +41,7 @@ from .model import (
 class AdaptConfig:
     batch_size: int = 24
     tau: float = 0.7
-    lam: float = 0.01
+    lam: float = field(default=0.01, metadata={"key": "lambda"})  # "lambda" is a keyword
     epochs: int = 3
     seed: int = 0
     iterations_per_epoch: Optional[int] = None  # None: ceil(|pool| / batch_size)

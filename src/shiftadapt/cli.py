@@ -1,9 +1,10 @@
 """Command-line pipeline: synth, pretrain, adapt, evaluate.
 
-Every command is driven by a JSON run config (strictly validated, unknown
-keys rejected) plus --set key=value overrides, and writes the resolved config
-next to its outputs. All commands are deterministic given the resolved
-config.
+Every command is driven by a JSON run config plus --set key=value overrides.
+Its sections, keys, types and defaults are those of `RunConfig` and the
+config dataclasses under it; unknown keys are rejected. Each command writes
+the resolved config next to its outputs. All commands are deterministic
+given the resolved config.
 """
 from __future__ import annotations
 
@@ -12,7 +13,9 @@ import copy
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -21,13 +24,13 @@ from . import correction as correction_mod
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
-from .errors import ConfigError, DatasetError, EmptyPseudoLabelSetError
-from .mmd import KernelConfig
+from .config import build, to_dict
+from .errors import AdaptationError, ConfigError, DatasetError, EmptyPseudoLabelSetError
 
 OUTPUT_ROOT_ENV = "SHIFTADAPT_OUTPUT_ROOT"
 
 EXIT_OK = 0
-EXIT_USAGE = 2  # config or dataset validation failure
+EXIT_USAGE = 2  # bad config, bad or missing input file, unusable source
 EXIT_EMPTY_PSEUDO = 3  # no pseudo label survived filtering; lower tau
 
 _CALIB_SPLIT_TAG = 0xCA11B  # mixed into the synth seed for the calib split
@@ -49,142 +52,61 @@ def default_synth_dict(seed: int = 7) -> dict:
     }
 
 
+@dataclass
+class DataConfig:
+    source: Optional[str] = None  # JSONL paths
+    target: Optional[str] = None
+    calib: Optional[str] = None
+    target_labels: Optional[str] = None
+    # A SynthConfig in dict form, kept as written so that resolved_config.json
+    # echoes it; a run config replaces it wholesale instead of merging into it.
+    synth: Optional[dict] = field(default_factory=default_synth_dict)
+    calib_size: int = 200
+    split_ratios: list[float] = field(default_factory=lambda: [0.7, 0.1, 0.2])
+
+    def __post_init__(self):
+        if self.synth is not None:
+            build(data_mod.SynthConfig, self.synth, "data.synth")
+        if self.calib_size < 1:
+            raise ConfigError("data.calib_size must be positive")
+        if len(self.split_ratios) != 3:
+            raise ConfigError("data.split_ratios must have exactly three entries")
+
+
+@dataclass
+class ModelConfig:
+    checkpoint: Optional[str] = None  # npz path; adapt pretrains first when None
+    hash_dim: int = 4096
+    d_embed: int = 32
+    d_hidden: int = 32
+    seed: int = 0
+
+
+@dataclass
+class OutputConfig:
+    directory: str = "runs/default"
+
+
+@dataclass
+class RunConfig:
+    """A run config, one dataclass per section; its dict form (`to_dict`) is
+    the JSON a user writes and what resolved_config.json holds."""
+
+    data: DataConfig = field(default_factory=DataConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: model_mod.TrainConfig = field(default_factory=model_mod.TrainConfig)
+    adapt: adapt_mod.AdaptConfig = field(default_factory=adapt_mod.AdaptConfig)
+    output: OutputConfig = field(default_factory=OutputConfig)
+
+
 def default_config() -> dict:
-    opt = {"name": "adam", "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
-    return {
-        "data": {
-            "source": None,
-            "target": None,
-            "calib": None,
-            "target_labels": None,
-            "synth": default_synth_dict(),
-            "calib_size": 200,
-            "split_ratios": [0.7, 0.1, 0.2],
-        },
-        "model": {
-            "checkpoint": None,
-            "hash_dim": 4096,
-            "d_embed": 32,
-            "d_hidden": 32,
-            "seed": 0,
-        },
-        "train": {
-            "learning_rate": 1e-3,
-            "batch_size": 24,
-            "max_epochs": 5,
-            "seed": 0,
-            "optimizer": dict(opt),
-        },
-        "adapt": {
-            "batch_size": 24,
-            "tau": 0.7,
-            "lambda": 0.01,
-            "epochs": 3,
-            "seed": 0,
-            "iterations_per_epoch": None,
-            "kernel": {"bandwidth_mode": "median_heuristic", "gamma": None},
-            "refresh_pseudo_labels": True,
-            "label_correction": True,
-            "learning_rate": 1e-3,
-            "optimizer": dict(opt),
-        },
-        "output": {"directory": "runs/default"},
-    }
+    return to_dict(RunConfig())
 
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _opt(check):
-    return lambda v: v is None or check(v)
-
-
-_LEAF_CHECKS = {
-    "str": lambda v: isinstance(v, str),
-    "opt_str": _opt(lambda v: isinstance(v, str)),
-    "opt_dict": _opt(lambda v: isinstance(v, dict)),
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "opt_int": _opt(lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "num": _is_num,
-    "opt_num": _opt(_is_num),
-    "bool": lambda v: isinstance(v, bool),
-    "num_list": lambda v: isinstance(v, list) and all(_is_num(x) for x in v),
-}
-
-_OPT_SCHEMA = {"name": "str", "beta1": "num", "beta2": "num", "eps": "num"}
-
-_SCHEMA = {
-    "data": {
-        "source": "opt_str",
-        "target": "opt_str",
-        "calib": "opt_str",
-        "target_labels": "opt_str",
-        "synth": "opt_dict",
-        "calib_size": "int",
-        "split_ratios": "num_list",
-    },
-    "model": {
-        "checkpoint": "opt_str",
-        "hash_dim": "int",
-        "d_embed": "int",
-        "d_hidden": "int",
-        "seed": "int",
-    },
-    "train": {
-        "learning_rate": "num",
-        "batch_size": "int",
-        "max_epochs": "int",
-        "seed": "int",
-        "optimizer": _OPT_SCHEMA,
-    },
-    "adapt": {
-        "batch_size": "int",
-        "tau": "num",
-        "lambda": "num",
-        "epochs": "int",
-        "seed": "int",
-        "iterations_per_epoch": "opt_int",
-        "kernel": {"bandwidth_mode": "str", "gamma": "opt_num"},
-        "refresh_pseudo_labels": "bool",
-        "label_correction": "bool",
-        "learning_rate": "num",
-        "optimizer": _OPT_SCHEMA,
-    },
-    "output": {"directory": "str"},
-}
-
-
-def _validate_node(node, schema, path):
-    if not isinstance(node, dict):
-        raise ConfigError(f"config section {path or '<root>'} must be an object")
-    unknown = set(node) - set(schema)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) under {path or '<root>'}: {sorted(unknown)}")
-    for key, rule in schema.items():
-        dotted = f"{path}.{key}" if path else key
-        if key not in node:
-            raise ConfigError(f"missing config key {dotted}")
-        value = node[key]
-        if isinstance(rule, dict):
-            _validate_node(value, rule, dotted)
-        elif not _LEAF_CHECKS[rule](value):
-            raise ConfigError(f"config key {dotted} has invalid value {value!r}")
-
-
-def validate_config(cfg: dict) -> None:
-    """Schema-check a merged run config; range rules live in the dataclasses."""
-    _validate_node(cfg, _SCHEMA, "")
-    if cfg["data"]["synth"] is not None:
-        data_mod.SynthConfig.from_dict(cfg["data"]["synth"])
-    if cfg["data"]["calib_size"] < 1:
-        raise ConfigError("data.calib_size must be positive")
-    ratios = cfg["data"]["split_ratios"]
-    if len(ratios) != 3:
-        raise ConfigError("data.split_ratios must have exactly three entries")
-    # Constructing the typed configs enforces every numeric range.
-    _train_config(cfg)
-    _adapt_config(cfg)
+def validate_config(cfg: dict) -> RunConfig:
+    """Build the typed run config from its dict form; an unknown key, a wrong
+    type or an out-of-range value raises ConfigError."""
+    return build(RunConfig, cfg)
 
 
 def _deep_merge(base: dict, override: dict, path="") -> dict:
@@ -217,7 +139,7 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
     return cfg
 
 
-def load_config(path, overrides) -> dict:
+def _load_run(path, overrides) -> RunConfig:
     cfg = default_config()
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -228,24 +150,22 @@ def load_config(path, overrides) -> dict:
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: run config must be a JSON object")
         cfg = _deep_merge(cfg, user)
-    cfg = _apply_overrides(cfg, overrides)
-    validate_config(cfg)
-    return cfg
+    return validate_config(_apply_overrides(cfg, overrides))
 
 
-def _output_dir(cfg: dict) -> Path:
-    directory = Path(cfg["output"]["directory"])
+def load_config(path, overrides) -> dict:
+    """The defaults, merged with the JSON file at path and the --set
+    overrides, validated, in dict form."""
+    return to_dict(_load_run(path, overrides))
+
+
+def _output_dir(run: RunConfig) -> Path:
+    directory = Path(run.output.directory)
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not directory.is_absolute():
         directory = Path(root) / directory
     directory.mkdir(parents=True, exist_ok=True)
     return directory
-
-
-def _write_resolved_config(cfg: dict, out_dir: Path) -> None:
-    with open(out_dir / "resolved_config.json", "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _dump_json(obj, path) -> None:
@@ -254,56 +174,36 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _train_config(cfg: dict) -> model_mod.TrainConfig:
-    t = cfg["train"]
-    return model_mod.TrainConfig(
-        learning_rate=t["learning_rate"],
-        batch_size=t["batch_size"],
-        max_epochs=t["max_epochs"],
-        seed=t["seed"],
-        optimizer=model_mod.OptimizerConfig(**t["optimizer"]),
-    )
+def _write_resolved_config(run: RunConfig, out_dir: Path) -> None:
+    _dump_json(to_dict(run), out_dir / "resolved_config.json")
 
 
-def _adapt_config(cfg: dict) -> adapt_mod.AdaptConfig:
-    a = cfg["adapt"]
-    return adapt_mod.AdaptConfig(
-        batch_size=a["batch_size"],
-        tau=a["tau"],
-        lam=a["lambda"],
-        epochs=a["epochs"],
-        seed=a["seed"],
-        iterations_per_epoch=a["iterations_per_epoch"],
-        kernel=KernelConfig(
-            bandwidth_mode=a["kernel"]["bandwidth_mode"], gamma=a["kernel"]["gamma"]
-        ),
-        refresh_pseudo_labels=a["refresh_pseudo_labels"],
-        label_correction=a["label_correction"],
-        learning_rate=a["learning_rate"],
-        optimizer=model_mod.OptimizerConfig(**a["optimizer"]),
-    )
-
-
-def _require_path(cfg, key):
-    value = cfg["data"][key]
+def _require_path(run: RunConfig, key):
+    value = getattr(run.data, key)
     if value is None:
         raise ConfigError(f"data.{key} is required for this command")
     return value
 
 
-def cmd_synth(cfg: dict) -> int:
+def _pretrain(run: RunConfig, train, val) -> model_mod.ModelParams:
+    m = run.model
+    params = model_mod.init(m.hash_dim, m.d_embed, m.d_hidden, m.seed)
+    return model_mod.pretrain(params, train, val, run.train)
+
+
+def cmd_synth(run: RunConfig) -> int:
     """Write source.jsonl, target.jsonl (unlabeled pool), target_labels.jsonl,
     and calib.jsonl for the configured synthetic scenario."""
-    if cfg["data"]["synth"] is None:
+    if run.data.synth is None:
         raise ConfigError("data.synth is required for the synth command")
-    synth_cfg = data_mod.SynthConfig.from_dict(cfg["data"]["synth"])
-    calib_size = cfg["data"]["calib_size"]
+    synth_cfg = data_mod.SynthConfig.from_dict(run.data.synth)
+    calib_size = run.data.calib_size
     if calib_size >= synth_cfg.n_target:
         raise ConfigError(
             f"data.calib_size ({calib_size}) must be smaller than n_target "
             f"({synth_cfg.n_target})"
         )
-    out_dir = _output_dir(cfg)
+    out_dir = _output_dir(run)
     source, target = data_mod.gen_synthetic(synth_cfg)
     for ds in (source, target):
         if ds.warning:
@@ -324,7 +224,7 @@ def cmd_synth(cfg: dict) -> int:
     data_mod.write_jsonl(pool, out_dir / "target.jsonl", drop_labels=True)
     data_mod.write_jsonl(pool, out_dir / "target_labels.jsonl")
     data_mod.write_jsonl(calib, out_dir / "calib.jsonl")
-    _write_resolved_config(cfg, out_dir)
+    _write_resolved_config(run, out_dir)
 
     print(json.dumps(
         {
@@ -340,13 +240,13 @@ def cmd_synth(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _load_source_splits(cfg: dict):
-    source = data_mod.load_jsonl(_require_path(cfg, "source"), domain_tag="source")
+def _load_source_splits(run: RunConfig):
+    source = data_mod.load_jsonl(_require_path(run, "source"), domain_tag="source")
     if not source.is_fully_labeled():
         raise DatasetError("source dataset must be fully labeled")
-    ratios = tuple(cfg["data"]["split_ratios"])
+    ratios = tuple(run.data.split_ratios)
     # The split seed is the training seed so pretrain and adapt agree on it.
-    return data_mod.split(source, ratios, seed=cfg["train"]["seed"])
+    return data_mod.split(source, ratios, seed=run.train.seed)
 
 
 def _evaluate(params, dataset, cp=None) -> metrics_mod.MetricsReport:
@@ -356,41 +256,37 @@ def _evaluate(params, dataset, cp=None) -> metrics_mod.MetricsReport:
     return metrics_mod.metrics_report(metrics_mod.confusion(preds, truth))
 
 
-def cmd_pretrain(cfg: dict) -> int:
+def cmd_pretrain(run: RunConfig) -> int:
     """Train on the source train split, report source test metrics, write a checkpoint."""
-    out_dir = _output_dir(cfg)
-    train, val, test = _load_source_splits(cfg)
-    m = cfg["model"]
-    params = model_mod.init(m["hash_dim"], m["d_embed"], m["d_hidden"], m["seed"])
-    trained = model_mod.pretrain(params, train, val, _train_config(cfg))
+    out_dir = _output_dir(run)
+    train, val, test = _load_source_splits(run)
+    trained = _pretrain(run, train, val)
     report = _evaluate(trained, test)
 
     model_mod.save_checkpoint(trained, out_dir / "pretrained.npz")
     data_mod.write_jsonl(test, out_dir / "source_test.jsonl")
     _dump_json(report.to_dict(), out_dir / "pretrain_metrics.json")
-    _write_resolved_config(cfg, out_dir)
+    _write_resolved_config(run, out_dir)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_adapt(cfg: dict) -> int:
+def cmd_adapt(run: RunConfig) -> int:
     """Run stage 1 + stage 2 and write the adapted checkpoint, trace, and summary."""
-    out_dir = _output_dir(cfg)
-    train, val, _test = _load_source_splits(cfg)
-    target = data_mod.load_jsonl(_require_path(cfg, "target"), domain_tag="target")
-    calib = data_mod.load_jsonl(_require_path(cfg, "calib"), domain_tag="target")
+    out_dir = _output_dir(run)
+    train, val, _test = _load_source_splits(run)
+    target = data_mod.load_jsonl(_require_path(run, "target"), domain_tag="target")
+    calib = data_mod.load_jsonl(_require_path(run, "calib"), domain_tag="target")
     if not calib.is_fully_labeled():
         raise DatasetError("calibration dataset must be fully labeled")
 
-    if cfg["model"]["checkpoint"] is not None:
-        pretrained = model_mod.load_checkpoint(cfg["model"]["checkpoint"])
+    if run.model.checkpoint is not None:
+        pretrained = model_mod.load_checkpoint(run.model.checkpoint)
     else:
-        m = cfg["model"]
-        params = model_mod.init(m["hash_dim"], m["d_embed"], m["d_hidden"], m["seed"])
-        pretrained = model_mod.pretrain(params, train, val, _train_config(cfg))
+        pretrained = _pretrain(run, train, val)
 
-    if cfg["data"]["target_labels"] is not None:
-        eval_set = data_mod.load_jsonl(cfg["data"]["target_labels"], domain_tag="target")
+    if run.data.target_labels is not None:
+        eval_set = data_mod.load_jsonl(run.data.target_labels, domain_tag="target")
         if not eval_set.is_fully_labeled():
             raise DatasetError("target_labels dataset must be fully labeled")
         eval_name = "target_labels"
@@ -399,13 +295,7 @@ def cmd_adapt(cfg: dict) -> int:
         eval_name = "calib"
 
     ba_before = _evaluate(pretrained, eval_set).ba
-    try:
-        adapted, trace = adapt_mod.run_adaptation(
-            pretrained, train, target, calib, _adapt_config(cfg)
-        )
-    except EmptyPseudoLabelSetError as exc:
-        print(f"adaptation aborted: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_PSEUDO
+    adapted, trace = adapt_mod.run_adaptation(pretrained, train, target, calib, run.adapt)
     ba_after = _evaluate(adapted, eval_set).ba
 
     last_epoch = trace.epochs[-1]
@@ -416,10 +306,10 @@ def cmd_adapt(cfg: dict) -> int:
         "eval_set": eval_name,
         "best_epoch": trace.best_epoch,
         "best_calib_ba": trace.best_calib_ba,
-        "tau": cfg["adapt"]["tau"],
-        "lambda": cfg["adapt"]["lambda"],
-        "epochs": cfg["adapt"]["epochs"],
-        "label_correction": cfg["adapt"]["label_correction"],
+        "tau": run.adapt.tau,
+        "lambda": run.adapt.lam,
+        "epochs": run.adapt.epochs,
+        "label_correction": run.adapt.label_correction,
         "correction": {
             "w": list(last_epoch.correction_w),
             "b": list(last_epoch.correction_b),
@@ -445,7 +335,7 @@ def cmd_adapt(cfg: dict) -> int:
     model_mod.save_checkpoint(adapted, out_dir / "adapted.npz")
     trace.write_csv(out_dir / "trace.csv")
     _dump_json(summary, out_dir / "summary.json")
-    _write_resolved_config(cfg, out_dir)
+    _write_resolved_config(run, out_dir)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -500,13 +390,16 @@ def main(argv=None) -> int:
     try:
         if args.command == "evaluate":
             return cmd_evaluate(args.checkpoint, args.data, args.correction, args.out)
-        cfg = load_config(args.config, args.set)
+        run = _load_run(args.config, args.set)
         if args.command == "synth":
-            return cmd_synth(cfg)
+            return cmd_synth(run)
         if args.command == "pretrain":
-            return cmd_pretrain(cfg)
-        return cmd_adapt(cfg)
-    except (ConfigError, DatasetError) as exc:
+            return cmd_pretrain(run)
+        return cmd_adapt(run)
+    except EmptyPseudoLabelSetError as exc:
+        print(f"adaptation aborted: {exc}", file=sys.stderr)
+        return EXIT_EMPTY_PSEUDO
+    except (ConfigError, DatasetError, AdaptationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

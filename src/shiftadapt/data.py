@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import build
 from .errors import ConfigError, DatasetError
 
 DEFAULT_HASH_DIM = 2 ** 18
@@ -250,12 +251,18 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.class_means_source = tuple(
-            np.asarray(m, dtype=np.float64) for m in self.class_means_source
-        )
-        self.class_means_target = tuple(
-            np.asarray(m, dtype=np.float64) for m in self.class_means_target
-        )
+        not_pairs = "class_means_source and class_means_target must each be a pair of vectors"
+        try:
+            self.class_means_source = tuple(
+                np.asarray(m, dtype=np.float64) for m in self.class_means_source
+            )
+            self.class_means_target = tuple(
+                np.asarray(m, dtype=np.float64) for m in self.class_means_target
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(not_pairs) from exc
+        if len(self.class_means_source) != 2 or len(self.class_means_target) != 2:
+            raise ConfigError(not_pairs)
         if self.n_source <= 0 or self.n_target <= 0:
             raise ConfigError("n_source and n_target must be positive")
         for prior, label in ((self.source_prior, "source"), (self.target_prior, "target")):
@@ -273,21 +280,8 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthConfig":
-        known = {
-            "n_source", "n_target", "source_prior", "target_prior",
-            "class_means_source", "class_means_target", "noise_scale",
-            "vocab_mode", "seed",
-        }
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
-        missing = {
-            "n_source", "n_target", "source_prior", "target_prior",
-            "class_means_source", "class_means_target",
-        } - set(obj)
-        if missing:
-            raise ConfigError(f"missing synth config keys: {sorted(missing)}")
-        return cls(**obj)
+        """Build from a JSON-shaped dict; unknown, missing or mistyped keys raise ConfigError."""
+        return build(cls, obj, "synth")
 
 
 def _encode_vector(vec: np.ndarray) -> str:

@@ -49,13 +49,8 @@ class EmbeddingBatch:
             raise ValueError("labels must be 0 or 1")
 
 
-class ClassMmdResult(NamedTuple):
-    value: Optional[float]  # None when every term's denominator is zero
-    skipped: tuple[str, ...]
-
-
 class ContrastiveResult(NamedTuple):
-    value: Optional[float]
+    value: Optional[float]  # None when every term's denominator is zero
     skipped: tuple[str, ...]
 
 
@@ -132,7 +127,7 @@ def _indicator_mean(x, x_labels, y, y_labels, c1, c2, gamma):
 
 def class_mmd(
     source: EmbeddingBatch, target: EmbeddingBatch, c1: int, c2: int, gamma: float
-) -> ClassMmdResult:
+) -> ContrastiveResult:
     """Class-pair discrepancy: term(S,S) + term(T,T) - 2 term(S,T).
 
     A term whose indicator count is zero is dropped and reported in `skipped`;
@@ -155,7 +150,7 @@ def class_mmd(
         else:
             total += coef * mean
             any_defined = True
-    return ClassMmdResult(total if any_defined else None, tuple(skipped))
+    return ContrastiveResult(total if any_defined else None, tuple(skipped))
 
 
 def contrastive_loss(

@@ -87,21 +87,10 @@ class ModelParams:
             np.array_equal(a, b) for a, b in zip(self.blocks(), other.blocks())
         )
 
-
-@dataclass
-class ParamGradients:
-    embed: np.ndarray
-    hidden_w: np.ndarray
-    hidden_b: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
-
     @classmethod
-    def zeros_like(cls, params: ModelParams) -> "ParamGradients":
-        return cls(*(np.zeros_like(getattr(params, b)) for b in PARAM_BLOCKS))
-
-    def blocks(self):
-        return tuple(getattr(self, b) for b in PARAM_BLOCKS)
+    def zeros_like(cls, params: "ModelParams") -> "ModelParams":
+        """Zero blocks shaped like params: a gradient or an optimizer moment."""
+        return cls(*(np.zeros_like(b) for b in params.blocks()))
 
 
 @dataclass(frozen=True)
@@ -167,7 +156,7 @@ def backward(
     records: Sequence[ForwardRecord],
     grad_logits: Sequence[np.ndarray],
     grad_phi: Optional[Sequence[Optional[np.ndarray]]] = None,
-) -> ParamGradients:
+) -> ModelParams:
     """Exact batch gradients given upstream gradients at the logits and at phi.
 
     grad_phi entries may be None (treated as zero); accumulation runs in
@@ -177,7 +166,7 @@ def backward(
         raise ValueError("records and grad_logits must have equal length")
     if grad_phi is not None and len(grad_phi) != len(records):
         raise ValueError("grad_phi must match records in length")
-    g = ParamGradients.zeros_like(params)
+    g = ModelParams.zeros_like(params)
     for i, rec in enumerate(records):
         gl = np.asarray(grad_logits[i], dtype=np.float64)
         if gl.shape != (2,):
@@ -207,10 +196,10 @@ class Optimizer:
         self.lr = learning_rate
         self.t = 0
         if cfg.name == "adam":
-            self.m = ParamGradients.zeros_like(params)
-            self.v = ParamGradients.zeros_like(params)
+            self.m = ModelParams.zeros_like(params)
+            self.v = ModelParams.zeros_like(params)
 
-    def step(self, params: ModelParams, grads: ParamGradients) -> None:
+    def step(self, params: ModelParams, grads: ModelParams) -> None:
         self.t += 1
         if self.cfg.name == "sgd":
             for p, g in zip(params.blocks(), grads.blocks()):

@@ -91,6 +91,40 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg_path)]) == cli.EXIT_USAGE
 
 
+# resolved_config.json of `synth --set output.directory=golden`: every run
+# config default, as a literal so that a default that moves fails here.
+GOLDEN_RESOLVED = {
+    "data": {
+        "source": None, "target": None, "calib": None, "target_labels": None,
+        "synth": {
+            "n_source": 1200, "n_target": 1200, "source_prior": 0.5, "target_prior": 0.9,
+            "class_means_source": [[-1.0] * 8, [1.0] * 8],
+            "class_means_target": [[-2.0] * 8, [0.0] * 8],
+            "noise_scale": 1.0, "vocab_mode": "numeric_tokens", "seed": 7,
+        },
+        "calib_size": 200, "split_ratios": [0.7, 0.1, 0.2],
+    },
+    "model": {"checkpoint": None, "hash_dim": 4096, "d_embed": 32, "d_hidden": 32, "seed": 0},
+    "train": {
+        "learning_rate": 0.001, "batch_size": 24, "max_epochs": 5, "seed": 0,
+        "optimizer": {"name": "adam", "beta1": 0.9, "beta2": 0.999, "eps": 1e-08},
+    },
+    "adapt": {
+        "batch_size": 24, "tau": 0.7, "lambda": 0.01, "epochs": 3, "seed": 0,
+        "iterations_per_epoch": None,
+        "kernel": {"bandwidth_mode": "median_heuristic", "gamma": None},
+        "refresh_pseudo_labels": True, "label_correction": True, "learning_rate": 0.001,
+        "optimizer": {"name": "adam", "beta1": 0.9, "beta2": 0.999, "eps": 1e-08},
+    },
+    "output": {"directory": "golden"},
+}
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestConfigMachinery:
     def test_unknown_key_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path, tmp_path / "x", **{"adapt.bogus": 1})
@@ -119,6 +153,54 @@ class TestConfigMachinery:
 
     def test_defaults_are_schema_valid(self):
         cli.validate_config(cli.default_config())
+
+    def test_default_resolved_config_is_golden(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        assert main(["synth", "--set", "output.directory=golden"]) == 0
+        text = (tmp_path / "golden" / "resolved_config.json").read_text(encoding="utf-8")
+        assert text == json.dumps(GOLDEN_RESOLVED, indent=2, sort_keys=True) + "\n"
+
+    def test_lambda_key_sets_lam(self):
+        cfg = cli.load_config(None, ["adapt.lambda=0.02"])
+        assert cli.validate_config(cfg).adapt.lam == 0.02
+
+    @pytest.mark.parametrize("override", [
+        'adapt.kernel.gamma="x"',
+        "train.optimizer.beta1=true",
+        "adapt.kernel.bogus=1",
+        "adapt.lam=0.02",
+        'data.synth.n_source="abc"',
+        "data.synth.class_means_source=5",
+        "data.synth.seed=1.5",
+    ])
+    def test_bad_key_or_type_exits_2_with_one_line(self, tmp_path, capsys, override):
+        cfg_path = write_config(tmp_path, tmp_path / "x")
+        assert main(["synth", "--config", str(cfg_path), "--set", override]) == cli.EXIT_USAGE
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("case", [
+        "config_file", "dataset", "checkpoint", "evaluate_checkpoint", "single_class_source",
+    ])
+    def test_expected_failure_exits_2_with_one_line(self, pipeline_dir, tmp_path, capsys, case):
+        data_dir, missing = pipeline_dir["data"], str(tmp_path / "missing")
+        rows = (data_dir / "source.jsonl").read_text(encoding="utf-8").splitlines()
+        ones = tmp_path / "ones.jsonl"
+        ones.write_text("".join(r + "\n" for r in rows if json.loads(r)["label"] == 1))
+        adapt = with_data_paths(["adapt", "--config", str(pipeline_dir["cfg"]),
+                                 "--set", f"output.directory={tmp_path / 'o'}"], data_dir)
+        argv = {
+            "config_file": ["synth", "--config", missing],
+            "dataset": adapt + ["--set", f"data.target={missing}"],
+            "checkpoint": adapt + ["--set", f"model.checkpoint={missing}"],
+            "evaluate_checkpoint": ["evaluate", "--checkpoint", missing,
+                                    "--data", str(pipeline_dir["pre"] / "source_test.jsonl")],
+            "single_class_source": adapt + [
+                "--set", f"model.checkpoint={pipeline_dir['pre']}/pretrained.npz",
+                "--set", f"data.source={ones}",
+            ],
+        }[case]
+        assert main(argv) == cli.EXIT_USAGE
+        assert_one_line_error(capsys)
 
 
 @pytest.fixture(scope="module")

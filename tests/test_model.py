@@ -212,7 +212,7 @@ class TestOptimizer:
     def test_sgd_update_rule(self):
         p = model.init(16, 4, 4, seed=0)
         before = p.copy()
-        g = model.ParamGradients.zeros_like(p)
+        g = model.ModelParams.zeros_like(p)
         g.out_b[:] = [1.0, -2.0]
         opt = model.Optimizer(model.OptimizerConfig(name="sgd"), 0.1, p)
         opt.step(p, g)
@@ -224,7 +224,7 @@ class TestOptimizer:
             opt = model.Optimizer(model.OptimizerConfig(), 1e-3, p)
             rng = np.random.default_rng(4)
             for _ in range(5):
-                g = model.ParamGradients.zeros_like(p)
+                g = model.ModelParams.zeros_like(p)
                 g.out_w += rng.normal(size=g.out_w.shape)
                 opt.step(p, g)
             return p
