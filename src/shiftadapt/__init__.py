@@ -6,7 +6,6 @@ from .adapt import AdaptConfig, AdaptTrace, class_aware_sample, run_adaptation
 from .correction import (
     CorrectionFitConfig,
     CorrectionParams,
-    PseudoLabeledSet,
     apply_correction,
     fit_correction,
     pseudo_label,

@@ -11,30 +11,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .correction import (
-    CorrectionParams,
-    PseudoEntry,
-    _pseudo_entries,
-    fit_correction,
-)
-from .data import Dataset, Example, featurize_dataset
+from .correction import CorrectionParams, PseudoEntry, fit_correction, pseudo_label
+from .data import Dataset, featurize_dataset
 from .errors import AdaptationError, ConfigError, DatasetError, EmptyPseudoLabelSetError
 from .metrics import balanced_accuracy, confusion
 from .mmd import EmbeddingBatch, KernelConfig, contrastive_grad, contrastive_loss, median_bandwidth
-from .model import (
-    ModelParams,
-    Optimizer,
-    OptimizerConfig,
-    backward,
-    forward,
-    nll_loss,
-    predict,
-    softmax,
-)
+from .model import ModelParams, Optimizer, OptimizerConfig, backward, forward, nll_head, softmax
 
 
 @dataclass
@@ -122,15 +108,27 @@ def _histogram(labels) -> dict[int, int]:
     return hist
 
 
-def _sample_class_indices(
-    by_class: dict[int, np.ndarray], hist: dict[int, int], rng: np.random.Generator
+def class_aware_sample(
+    source_labels: Sequence[int],
+    target_labels: Sequence[int],
+    rng: np.random.Generator,
 ) -> tuple[list[int], bool]:
-    """Source indices matching hist exactly; per class, without replacement when possible."""
+    """Source indices whose class histogram equals the target labels', and
+    whether any class had to be drawn with replacement.
+
+    Per class, in ascending class order, one rng.choice draw: without
+    replacement when the source class pool is large enough, with replacement
+    otherwise. Deterministic given the generator state.
+    """
+    source_labels = np.asarray(source_labels)
+    if source_labels.dtype == object:
+        raise DatasetError("class-aware sampling requires a fully labeled source")
+    hist = _histogram(target_labels)
     chosen: list[int] = []
     with_replacement = False
     for cls in sorted(hist):
-        pool = by_class.get(cls)
-        if pool is None or pool.size == 0:
+        pool = np.flatnonzero(source_labels == cls)
+        if pool.size == 0:
             raise AdaptationError(f"source contains no examples of class {cls}")
         k = hist[cls]
         replace = pool.size < k
@@ -138,30 +136,6 @@ def _sample_class_indices(
         picks = rng.choice(pool.size, size=k, replace=replace)
         chosen.extend(int(pool[i]) for i in picks)
     return chosen, with_replacement
-
-
-def _labels_by_class(labels) -> dict[int, np.ndarray]:
-    arr = np.asarray(labels)
-    return {cls: np.flatnonzero(arr == cls) for cls in (0, 1)}
-
-
-def class_aware_sample(
-    source: Dataset,
-    target_batch: list[tuple[Example, int]],
-    seed_state: np.random.Generator,
-) -> list[Example]:
-    """Draw a source batch whose class histogram equals the target batch's.
-
-    Sampling is without replacement within the batch when the source class
-    pool is large enough, with replacement otherwise. Deterministic given the
-    generator state.
-    """
-    if not source.is_fully_labeled():
-        raise DatasetError("class-aware sampling requires a fully labeled source")
-    hist = _histogram(label for _, label in target_batch)
-    by_class = _labels_by_class([ex.label for ex in source.examples])
-    indices, _ = _sample_class_indices(by_class, hist, seed_state)
-    return [source.examples[i] for i in indices]
 
 
 def _resolve_gamma(kernel: KernelConfig, s_batch: EmbeddingBatch, t_batch: EmbeddingBatch) -> float:
@@ -194,19 +168,25 @@ def run_adaptation(
     src_feats = featurize_dataset(source, model.hash_dim)
     tgt_feats = featurize_dataset(target, model.hash_dim)
     calib_feats = featurize_dataset(calib, model.hash_dim)
-    src_labels = [ex.label for ex in source.examples]
+    src_labels = np.asarray([ex.label for ex in source.examples])
     calib_labels = [ex.label for ex in calib.examples]
     tgt_truth = [ex.label for ex in target.examples] if target.is_fully_labeled() else None
-    by_class = _labels_by_class(src_labels)
 
-    def calib_ba(params):
-        return balanced_accuracy(confusion(predict(params, calib_feats), calib_labels))
+    def logits_of(params, feats):
+        return np.stack([forward(params, f).logits for f in feats])
+
+    def calib_ba(logits):
+        preds = np.argmax(softmax(logits), axis=1).tolist()
+        return balanced_accuracy(confusion(preds, calib_labels))
 
     rng = np.random.default_rng(cfg.seed)
     work = model.copy()
     opt = Optimizer(cfg.optimizer, cfg.learning_rate, work)
     best = model.copy()
-    best_ba = calib_ba(model)
+    # Calibration logits of the current parameters: they give the epoch's
+    # calibration BA and feed the next correction fit.
+    calib_logits = logits_of(work, calib_feats)
+    best_ba = calib_ba(calib_logits)
     best_epoch = 0
 
     trace = AdaptTrace()
@@ -220,11 +200,10 @@ def run_adaptation(
     for epoch in range(1, cfg.epochs + 1):
         if epoch == 1 or cfg.refresh_pseudo_labels:
             if cfg.label_correction:
-                cp = fit_correction(work, calib)
+                cp = fit_correction(calib_logits, calib_labels)
             else:
                 cp = CorrectionParams.identity()
-            tgt_logits = np.stack([forward(work, f).logits for f in tgt_feats])
-            entries = _pseudo_entries(cp, tgt_logits, cfg.tau)
+            entries = pseudo_label(cp, logits_of(work, tgt_feats), cfg.tau)
             if not entries:
                 raise EmptyPseudoLabelSetError(cfg.tau)
         if iterations_per_epoch is None:
@@ -247,26 +226,21 @@ def run_adaptation(
             global_iter += 1
             t_batch = next_target_batch()
             t_labels = [e.label for e in t_batch]
-            hist = _histogram(t_labels)
-            s_indices, with_repl = _sample_class_indices(by_class, hist, rng)
-            s_labels = [src_labels[i] for i in s_indices]
-            assert _histogram(s_labels) == hist, "class-aware sampling histogram mismatch"
+            s_indices, with_repl = class_aware_sample(src_labels, t_labels, rng)
+            s_labels = src_labels[s_indices].tolist()
+            assert _histogram(s_labels) == _histogram(t_labels), "sampler histogram mismatch"
 
             s_records = [forward(work, src_feats[i]) for i in s_indices]
             t_records = [forward(work, tgt_feats[e.index]) for e in t_batch]
 
             # NLL head: equal-weight average of the source and target batch means.
-            records, grad_logits = [], []
-            nll_total = 0.0
-            for recs, labels in ((s_records, s_labels), (t_records, t_labels)):
-                inv = 0.5 / len(recs)
-                for rec, y in zip(recs, labels):
-                    probs = softmax(rec.logits)
-                    nll_total += nll_loss(probs, y) * inv
-                    g = probs.copy()
-                    g[y] -= 1.0
-                    records.append(rec)
-                    grad_logits.append(g * inv)
+            records = s_records + t_records
+            weights = np.repeat([0.5 / len(s_records), 0.5 / len(t_records)],
+                                [len(s_records), len(t_records)])
+            terms, grad_logits = nll_head(records, s_labels + t_labels, weights)
+            # A sequential sum from +0.0, as the trace has always been written: not
+            # pairwise (np.sum) or compensated (sum() from 3.12), and never -0.0.
+            nll_total = 0.0 + float(np.cumsum(terms)[-1])
 
             # Contrastive head on the phi representations; gamma frozen per batch pair.
             s_emb = EmbeddingBatch(np.stack([r.phi for r in s_records]), np.asarray(s_labels))
@@ -293,7 +267,8 @@ def run_adaptation(
                 with_replacement=with_repl,
             ))
 
-        ba = calib_ba(work)
+        calib_logits = logits_of(work, calib_feats)
+        ba = calib_ba(calib_logits)
         pseudo_labels = [e.label for e in entries]
         pseudo_accuracy = None
         if tgt_truth is not None:

@@ -349,7 +349,11 @@ def cmd_evaluate(checkpoint, dataset_path, correction_path=None, out_path=None) 
     cp = None
     if correction_path is not None:
         with open(correction_path, encoding="utf-8") as fh:
-            cp = correction_mod.CorrectionParams.from_dict(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+                raise ConfigError(f"correction file {correction_path} is not JSON: {exc}") from exc
+        cp = correction_mod.CorrectionParams.from_dict(obj)
     report = _evaluate(params, dataset, cp)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if out_path is not None:

@@ -7,13 +7,13 @@ oversized biases.
 """
 from __future__ import annotations
 
-import json
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, SparseVec, featurize_dataset
+from .data import SparseVec
 from .errors import ConfigError, DatasetError
 from .model import ModelParams, forward, softmax
 
@@ -38,12 +38,27 @@ class CorrectionParams:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "CorrectionParams":
-        return cls(
-            w=np.asarray(obj["w"], dtype=np.float64),
-            b=np.asarray(obj["b"], dtype=np.float64),
-            bias_discarded=bool(obj.get("bias_discarded", False)),
-        )
+    def from_dict(cls, obj) -> "CorrectionParams":
+        """Parse a correction file; ConfigError unless w and b each hold two finite numbers."""
+        if not isinstance(obj, dict):
+            raise ConfigError("a correction must be a JSON object with keys 'w' and 'b'")
+        pairs = {}
+        for key in ("w", "b"):
+            value = obj.get(key)
+            if not (isinstance(value, list) and len(value) == 2
+                    and all(_is_finite_number(v) for v in value)):
+                raise ConfigError(f"correction {key!r} must be two finite numbers, got {value!r}")
+            pairs[key] = np.asarray(value, dtype=np.float64)
+        discarded = obj.get("bias_discarded", False)
+        if not isinstance(discarded, bool):
+            raise ConfigError(f"correction 'bias_discarded' must be a boolean, got {discarded!r}")
+        return cls(w=pairs["w"], b=pairs["b"], bias_discarded=discarded)
+
+
+def _is_finite_number(v) -> bool:
+    # bool is an int subclass; the bound excludes NaN, infinities and ints past float range
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    return number and abs(v) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -51,38 +66,6 @@ class PseudoEntry:
     index: int
     label: int
     confidence: float
-
-
-@dataclass
-class PseudoLabeledSet:
-    entries: list[PseudoEntry]
-    threshold_used: float
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
-    def indices(self) -> list[int]:
-        return [e.index for e in self.entries]
-
-    def labels(self) -> list[int]:
-        return [e.label for e in self.entries]
-
-    def prior(self) -> float:
-        if not self.entries:
-            raise ValueError("empty pseudo-labeled set has no prior")
-        return sum(e.label for e in self.entries) / len(self.entries)
-
-    def write_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in self.entries:
-                fh.write(json.dumps(
-                    {"index": e.index, "pseudo_label": e.label, "confidence": e.confidence}
-                ))
-                fh.write("\n")
 
 
 @dataclass
@@ -97,7 +80,8 @@ class CorrectionFitConfig:
 
 
 def apply_correction(cp: CorrectionParams, logits: np.ndarray) -> np.ndarray:
-    """softmax(w * logits + b), or softmax(w * logits) when the bias was discarded."""
+    """softmax(w * logits + b) over the last axis of (..., 2) logits, or
+    softmax(w * logits) when the bias was discarded."""
     logits = np.asarray(logits, dtype=np.float64)
     if not (np.all(np.isfinite(cp.w)) and np.all(np.isfinite(cp.b))):
         raise ValueError("correction parameters must be finite")
@@ -158,12 +142,19 @@ def _descend(logits, labels, fit_bias: bool, cfg: CorrectionFitConfig):
     return w, b, history
 
 
+def _logit_matrix(logits) -> np.ndarray:
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or logits.shape[1] != 2:
+        raise ValueError(f"logits must be an (n, 2) matrix, got shape {logits.shape}")
+    return logits
+
+
 def fit_correction(
-    model: ModelParams,
-    calib: Dataset,
+    logits: np.ndarray,
+    labels: Sequence[int],
     fit_cfg: Optional[CorrectionFitConfig] = None,
 ) -> CorrectionParams:
-    """Fit (w, b) on a labeled target calibration set with the model frozen.
+    """Fit (w, b) on the frozen model's (n, 2) logits for a labeled target calibration set.
 
     Initialization is the identity correction, so the fitted NLL never exceeds
     the uncorrected NLL. The bias is refitted at zero (bias_discarded) when
@@ -171,13 +162,13 @@ def fit_correction(
     regresses, the identity correction is returned with a warning.
     """
     cfg = fit_cfg or CorrectionFitConfig()
-    if len(calib) == 0:
+    logits = _logit_matrix(logits)
+    if len(logits) == 0:
         raise DatasetError("calibration set must be non-empty")
-    if not calib.is_fully_labeled():
-        raise DatasetError("calibration set must be fully labeled")
-    feats = featurize_dataset(calib, model.hash_dim)
-    logits = np.stack([forward(model, f).logits for f in feats])
-    labels = np.asarray([ex.label for ex in calib.examples], dtype=np.int64)
+    labels = np.asarray(labels)
+    if labels.shape != (len(logits),) or not np.isin(labels, (0, 1)).all():
+        raise DatasetError("calibration set must be fully labeled, one 0/1 label per logits row")
+    labels = labels.astype(np.int64)
 
     warnings = []
     if len(set(labels.tolist())) == 1:
@@ -204,31 +195,21 @@ def fit_correction(
     )
 
 
-def _pseudo_entries(cp: CorrectionParams, logits: np.ndarray, tau: float) -> list[PseudoEntry]:
-    entries = []
-    for i in range(logits.shape[0]):
-        probs = apply_correction(cp, logits[i])
-        label = int(np.argmax(probs))  # argmax takes the first maximum: ties go to class 0
-        conf = float(probs[label])
-        if conf >= tau:
-            entries.append(PseudoEntry(index=i, label=label, confidence=conf))
-    return entries
+def pseudo_label(cp: CorrectionParams, logits: np.ndarray, tau: float) -> list[PseudoEntry]:
+    """Corrected-argmax pseudo labels for every (n, 2) logits row with confidence >= tau.
 
-
-def pseudo_label(
-    model: ModelParams, cp: CorrectionParams, target: Dataset, tau: float
-) -> PseudoLabeledSet:
-    """Corrected-argmax pseudo labels for every target example with confidence >= tau.
-
-    An empty result is a valid status the adaptation stage must handle.
+    argmax takes the first maximum, so ties go to class 0. An empty result is
+    a valid status the adaptation stage must handle.
     """
     if not 0.5 < tau < 1.0:
         raise ConfigError(f"tau must lie in (0.5, 1), got {tau}")
-    if len(target) == 0:
-        raise DatasetError("target dataset must be non-empty")
-    feats = featurize_dataset(target, model.hash_dim)
-    logits = np.stack([forward(model, f).logits for f in feats])
-    return PseudoLabeledSet(entries=_pseudo_entries(cp, logits, tau), threshold_used=tau)
+    probs = apply_correction(cp, _logit_matrix(logits))
+    labels = np.argmax(probs, axis=1)
+    conf = probs[np.arange(len(probs)), labels]
+    return [
+        PseudoEntry(index=int(i), label=int(labels[i]), confidence=float(conf[i]))
+        for i in np.flatnonzero(conf >= tau)
+    ]
 
 
 def predict_labels(
@@ -236,10 +217,7 @@ def predict_labels(
     feats: Sequence[SparseVec],
     cp: Optional[CorrectionParams] = None,
 ) -> list[int]:
-    """Hard predictions, optionally through the corrected softmax."""
-    preds = []
-    for f in feats:
-        logits = forward(model, f).logits
-        probs = apply_correction(cp, logits) if cp is not None else softmax(logits)
-        preds.append(int(np.argmax(probs)))
-    return preds
+    """Hard predictions, optionally through the corrected softmax; ties go to class 0."""
+    logits = np.reshape([forward(model, f).logits for f in feats], (-1, 2))
+    probs = apply_correction(cp, logits) if cp is not None else softmax(logits)
+    return np.argmax(probs, axis=1).tolist()

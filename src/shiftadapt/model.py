@@ -6,6 +6,7 @@ hidden vector phi; the classifier head maps phi to two logits.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -135,13 +136,13 @@ def forward(params: ModelParams, x: SparseVec) -> ForwardRecord:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of a 2-vector."""
+    """Numerically stable softmax over the last axis of finite (..., 2) logits."""
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape != (2,) or not np.all(np.isfinite(logits)):
-        raise ValueError(f"logits must be a finite 2-vector, got {logits!r}")
-    shifted = logits - logits.max()
+    if logits.ndim == 0 or logits.shape[-1] != 2 or not np.all(np.isfinite(logits)):
+        raise ValueError(f"logits must be finite with a last axis of 2, got shape {logits.shape}")
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def nll_loss(probs: np.ndarray, label: int) -> float:
@@ -149,6 +150,23 @@ def nll_loss(probs: np.ndarray, label: int) -> float:
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label!r}")
     return float(-np.log(max(float(probs[label]), PROB_FLOOR)))
+
+
+def nll_head(
+    records: Sequence[ForwardRecord], labels: Sequence[int], weights
+) -> tuple[np.ndarray, np.ndarray]:
+    """Terms weights[i] * nll_loss(softmax(logits_i), labels[i]) and their (n, 2)
+    logit gradients; weights holds one weight per record, or one for all."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (len(records),) or not np.isin(labels, (0, 1)).all():
+        raise ValueError("need one label in {0, 1} per record")
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), labels.shape)
+    probs = softmax(np.reshape([rec.logits for rec in records], (-1, 2)))
+    rows = np.arange(len(labels))
+    terms = -np.log(np.maximum(probs[rows, labels], PROB_FLOOR)) * weights
+    grad = probs.copy()
+    grad[rows, labels] -= 1.0
+    return terms, grad * weights[:, None]
 
 
 def backward(
@@ -218,20 +236,8 @@ class Optimizer:
 
 def predict(params: ModelParams, feats: Sequence[SparseVec]) -> list[int]:
     """Argmax class per featurized example; ties resolve to class 0."""
-    return [int(np.argmax(softmax(forward(params, f).logits))) for f in feats]
-
-
-def _batch_nll_gradients(params, feats, labels, batch_idx):
-    records, grads = [], []
-    inv = 1.0 / len(batch_idx)
-    for i in batch_idx:
-        rec = forward(params, feats[i])
-        probs = softmax(rec.logits)
-        g = probs.copy()
-        g[labels[i]] -= 1.0
-        records.append(rec)
-        grads.append(g * inv)
-    return records, grads
+    logits = np.reshape([forward(params, f).logits for f in feats], (-1, 2))
+    return np.argmax(softmax(logits), axis=1).tolist()
 
 
 def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig) -> ModelParams:
@@ -246,7 +252,7 @@ def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig
         raise DatasetError("pretrain requires fully labeled train and val datasets")
     train_feats = featurize_dataset(train, params.hash_dim)
     val_feats = featurize_dataset(val, params.hash_dim)
-    train_labels = [ex.label for ex in train.examples]
+    train_labels = np.asarray([ex.label for ex in train.examples])
     val_labels = [ex.label for ex in val.examples]
 
     def val_ba(p):
@@ -264,7 +270,8 @@ def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
-            records, grads = _batch_nll_gradients(work, train_feats, train_labels, batch)
+            records = [forward(work, train_feats[i]) for i in batch]
+            _, grads = nll_head(records, train_labels[batch], 1.0 / len(batch))
             opt.step(work, backward(work, records, grads))
         ba = val_ba(work)
         if ba > best_ba:
@@ -292,13 +299,30 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    with np.load(path) as npz:
-        meta = json.loads(bytes(npz["meta"]).decode("utf-8"))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {meta.get('version')!r}")
-        params = ModelParams(*(npz[b] for b in PARAM_BLOCKS))
-    expected = (meta["hash_dim"], meta["d_embed"], meta["d_hidden"])
-    actual = (params.hash_dim, params.d_embed, params.d_hidden)
-    if expected != actual:
-        raise ConfigError(f"checkpoint shape header {expected} does not match arrays {actual}")
-    return params
+    """Read a save_checkpoint file. ConfigError when it is not an npz, lacks an
+    array, has another version, or holds a block that is not finite float64 of
+    the header's shape."""
+    try:
+        npz = np.load(path)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ValueError("a bare .npy array")
+        with npz:
+            arrays = {k: npz[k] for k in ("meta", *PARAM_BLOCKS)}
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path} is not a readable checkpoint: {exc}") from exc
+    meta = meta if isinstance(meta, dict) else {}
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {meta.get('version')!r}")
+    h, e, d = (meta.get(k) for k in ("hash_dim", "d_embed", "d_hidden"))
+    shapes = {"embed": (h, e), "hidden_w": (e, d), "hidden_b": (d,), "out_w": (d, 2), "out_b": (2,)}
+    for name, shape in shapes.items():
+        block = arrays[name]
+        # min and max propagate NaN and infinities, without a boolean copy of the block
+        if (block.shape != shape or block.dtype != np.float64
+                or not np.isfinite([block.min(initial=0.0), block.max(initial=0.0)]).all()):
+            raise ConfigError(
+                f"checkpoint block {name} must be finite float64 of shape {shape}, "
+                f"got {block.dtype} {block.shape}"
+            )
+    return ModelParams(*(arrays[b] for b in PARAM_BLOCKS))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from shiftadapt import data, model
@@ -60,3 +61,10 @@ def ba_on(params, dataset):
     feats = featurize_dataset(dataset, params.hash_dim)
     preds = model.predict(params, feats)
     return balanced_accuracy(confusion(preds, [ex.label for ex in dataset.examples]))
+
+
+def logits_and_labels(params, dataset):
+    """(n, 2) logits of params on dataset, and its labels: stage 1's inputs."""
+    feats = data.featurize_dataset(dataset, params.hash_dim)
+    logits = np.reshape([model.forward(params, f).logits for f in feats], (-1, 2))
+    return logits, [ex.label for ex in dataset.examples]

@@ -197,13 +197,14 @@ def test_criterion_3_label_shift_correction_recovery():
     _, pre = pretrain_default(source, seed=0)
     pool_feats = data.featurize_dataset(pool, pre.hash_dim)
 
-    uncorrected_prior = float(np.mean(correction.predict_labels(pre, pool_feats)))
-    cp = correction.fit_correction(pre, calib)
-    corrected_prior = float(np.mean(correction.predict_labels(pre, pool_feats, cp)))
-
     calib_feats = data.featurize_dataset(calib, pre.hash_dim)
     calib_logits = np.stack([model.forward(pre, f).logits for f in calib_feats])
     calib_labels = np.asarray([ex.label for ex in calib.examples])
+
+    uncorrected_prior = float(np.mean(correction.predict_labels(pre, pool_feats)))
+    cp = correction.fit_correction(calib_logits, calib_labels)
+    corrected_prior = float(np.mean(correction.predict_labels(pre, pool_feats, cp)))
+
     grid_nll, _ = grid_best(calib_logits, calib_labels)
     fitted_nll = cp.fit_nll_history[-1]
 
@@ -264,14 +265,12 @@ def test_criterion_6_class_aware_sampler_property():
         for cls, n in counts.items():
             examples.extend(data.Example(f"f0p{i} f1p{cls}", cls) for i in range(n))
         source = data.Dataset(examples, "source", "s")
+        source_labels = [ex.label for ex in source.examples]
         for _ in range(334):
             size = int(rng.integers(1, 25))
             labels = rng.integers(0, 2, size).tolist()
-            batch = adapt.class_aware_sample(
-                source,
-                [(data.Example("f0p0", None), y) for y in labels],
-                rng,
-            )
+            indices, _ = adapt.class_aware_sample(source_labels, labels, rng)
+            batch = [source.examples[i] for i in indices]
             want = {c: labels.count(c) for c in set(labels)}
             got = {}
             for ex in batch:

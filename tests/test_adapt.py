@@ -10,7 +10,7 @@ from shiftadapt.errors import (
     EmptyPseudoLabelSetError,
 )
 from shiftadapt.mmd import KernelConfig
-from conftest import ba_on
+from conftest import ba_on, logits_and_labels
 
 
 def labeled_source(counts={0: 30, 1: 30}):
@@ -20,27 +20,29 @@ def labeled_source(counts={0: 30, 1: 30}):
     return data.Dataset(examples, "source", "s")
 
 
-def target_batch(labels):
-    return [(data.Example(f"f0p{i}", None), y) for i, y in enumerate(labels)]
+def sample(source, target_labels, rng):
+    """The source examples class_aware_sample picks for a target batch's labels."""
+    indices, _ = class_aware_sample([ex.label for ex in source.examples], target_labels, rng)
+    return [source.examples[i] for i in indices]
 
 
 class TestClassAwareSample:
     def test_exact_histogram(self):
         rng = np.random.default_rng(0)
-        batch = class_aware_sample(labeled_source(), target_batch([0] * 3 + [1] * 5), rng)
+        batch = sample(labeled_source(), [0] * 3 + [1] * 5, rng)
         got = sorted(ex.label for ex in batch)
         assert got == [0] * 3 + [1] * 5
 
     def test_single_class_batch(self):
         rng = np.random.default_rng(1)
-        batch = class_aware_sample(labeled_source(), target_batch([1] * 6), rng)
+        batch = sample(labeled_source(), [1] * 6, rng)
         assert [ex.label for ex in batch] == [1] * 6
 
     def test_replacement_when_pool_small(self):
         source = labeled_source({0: 2, 1: 10})
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            batch = class_aware_sample(source, target_batch([0] * 4 + [1] * 2), rng)
+            batch = sample(source, [0] * 4 + [1] * 2, rng)
             got = sorted(ex.label for ex in batch)
             assert got == [0] * 4 + [1] * 2
             zeros = [ex for ex in batch if ex.label == 0]
@@ -49,11 +51,11 @@ class TestClassAwareSample:
     def test_missing_class_raises(self):
         source = labeled_source({1: 10})
         with pytest.raises(AdaptationError, match="class 0"):
-            class_aware_sample(source, target_batch([0, 1]), np.random.default_rng(0))
+            sample(source, [0, 1], np.random.default_rng(0))
 
     def test_deterministic_given_state(self):
-        a = class_aware_sample(labeled_source(), target_batch([0, 0, 1]), np.random.default_rng(3))
-        b = class_aware_sample(labeled_source(), target_batch([0, 0, 1]), np.random.default_rng(3))
+        a = sample(labeled_source(), [0, 0, 1], np.random.default_rng(3))
+        b = sample(labeled_source(), [0, 0, 1], np.random.default_rng(3))
         assert [e.text for e in a] == [e.text for e in b]
 
     def test_histogram_property_random_draws(self):
@@ -61,7 +63,7 @@ class TestClassAwareSample:
         source = labeled_source({0: 7, 1: 9})
         for _ in range(200):
             labels = rng.integers(0, 2, int(rng.integers(1, 12))).tolist()
-            batch = class_aware_sample(source, target_batch(labels), rng)
+            batch = sample(source, labels, rng)
             want = {c: labels.count(c) for c in set(labels)}
             got = {}
             for ex in batch:
@@ -71,7 +73,7 @@ class TestClassAwareSample:
     def test_requires_labeled_source(self):
         ds = data.Dataset([data.Example("a b", None)], "source", "s")
         with pytest.raises(DatasetError):
-            class_aware_sample(ds, target_batch([0]), np.random.default_rng(0))
+            sample(ds, [0], np.random.default_rng(0))
 
 
 class TestAdaptConfig:
@@ -117,6 +119,35 @@ class TestRunAdaptation:
         assert trace.epochs == trace2.epochs
         assert params.allclose(params2)
 
+    @pytest.mark.parametrize("refresh", [True, False])
+    def test_stage_one_runs_through_the_public_functions(
+        self, small_pretrained, monkeypatch, refresh
+    ):
+        """The adapter calls the sampler, pseudo-labeller and correction fit
+        that the tests above check: one draw per iteration, one fit and one
+        pseudo-labelling per refresh."""
+        calls = dict.fromkeys(("class_aware_sample", "pseudo_label", "fit_correction"), 0)
+        for owner, name in ((adapt, "class_aware_sample"), (correction, "pseudo_label"),
+                            (correction, "fit_correction")):
+            real = getattr(owner, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in (adapt, correction):  # every namespace that binds the function
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, spy)
+        cfg = AdaptConfig(seed=1, epochs=3, batch_size=16, iterations_per_epoch=2,
+                          refresh_pseudo_labels=refresh)
+        _, trace = run_adaptation(
+            small_pretrained["params"], small_pretrained["train"],
+            small_pretrained["pool"], small_pretrained["calib"], cfg,
+        )
+        refreshes = cfg.epochs if refresh else 1
+        assert calls == {"class_aware_sample": len(trace.iterations),
+                         "pseudo_label": refreshes, "fit_correction": refreshes}
+
     def test_trace_shape_and_finiteness(self, adapted_run):
         cfg, _, trace = adapted_run
         n_pseudo_first = trace.epochs[0].n_pseudo
@@ -141,10 +172,10 @@ class TestRunAdaptation:
 
     def test_first_epoch_matches_standalone_stage_one(self, small_pretrained, adapted_run):
         cfg, _, trace = adapted_run
-        cp = correction.fit_correction(small_pretrained["params"], small_pretrained["calib"])
-        ps = correction.pseudo_label(
-            small_pretrained["params"], cp, small_pretrained["pool"], cfg.tau
-        )
+        pre = small_pretrained["params"]
+        cp = correction.fit_correction(*logits_and_labels(pre, small_pretrained["calib"]))
+        pool_logits, _ = logits_and_labels(pre, small_pretrained["pool"])
+        ps = correction.pseudo_label(cp, pool_logits, cfg.tau)
         assert trace.epochs[0].n_pseudo == len(ps)
         assert trace.epochs[0].correction_w == (float(cp.w[0]), float(cp.w[1]))
         assert trace.epochs[0].bias_discarded == cp.bias_discarded
@@ -266,10 +297,10 @@ class TestRunAdaptation:
         # build a pool the model itself pseudo-labels entirely as class 1
         full_pool = small_pretrained["pool"]
         ps = correction.pseudo_label(
-            small_pretrained["params"], correction.CorrectionParams.identity(),
-            full_pool, tau=0.55,
+            correction.CorrectionParams.identity(),
+            logits_and_labels(small_pretrained["params"], full_pool)[0], tau=0.55,
         )
-        one_idx = [e.index for e in ps.entries if e.label == 1][:12]
+        one_idx = [e.index for e in ps if e.label == 1][:12]
         assert len(one_idx) >= 8
         pool = data.Dataset([full_pool.examples[i] for i in one_idx], "target", "ones")
         cfg = AdaptConfig(seed=0, epochs=1, batch_size=8, tau=0.55, label_correction=False)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shiftadapt import cli
@@ -180,6 +181,9 @@ class TestConfigMachinery:
 
     @pytest.mark.parametrize("case", [
         "config_file", "dataset", "checkpoint", "evaluate_checkpoint", "single_class_source",
+        "correction_not_json", "correction_without_b", "correction_b_not_numeric",
+        "correction_w_three_entries", "correction_w_nan", "checkpoint_not_npz",
+        "checkpoint_without_meta", "checkpoint_nan_weight", "adapt_checkpoint_nan_weight",
     ])
     def test_expected_failure_exits_2_with_one_line(self, pipeline_dir, tmp_path, capsys, case):
         data_dir, missing = pipeline_dir["data"], str(tmp_path / "missing")
@@ -188,6 +192,23 @@ class TestConfigMachinery:
         ones.write_text("".join(r + "\n" for r in rows if json.loads(r)["label"] == 1))
         adapt = with_data_paths(["adapt", "--config", str(pipeline_dir["cfg"]),
                                  "--set", f"output.directory={tmp_path / 'o'}"], data_dir)
+        pretrained = pipeline_dir["pre"] / "pretrained.npz"
+        with np.load(pretrained) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        no_meta, nan_weight = tmp_path / "no_meta.npz", tmp_path / "nan_weight.npz"
+        np.savez(no_meta, **{k: v for k, v in arrays.items() if k != "meta"})
+        arrays["out_w"][0, 0] = np.nan
+        np.savez(nan_weight, **arrays)
+        evaluate = ["evaluate", "--data", str(pipeline_dir["pre"] / "source_test.jsonl")]
+
+        def text_file(name, text):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            return str(tmp_path / name)
+
+        def with_correction(text):
+            return evaluate + ["--checkpoint", str(pretrained),
+                               "--correction", text_file("correction.json", text)]
+
         argv = {
             "config_file": ["synth", "--config", missing],
             "dataset": adapt + ["--set", f"data.target={missing}"],
@@ -198,6 +219,15 @@ class TestConfigMachinery:
                 "--set", f"model.checkpoint={pipeline_dir['pre']}/pretrained.npz",
                 "--set", f"data.source={ones}",
             ],
+            "correction_not_json": with_correction("w = [1, 1]"),
+            "correction_without_b": with_correction('{"w": [1.0, 1.0]}'),
+            "correction_b_not_numeric": with_correction('{"w": [1.0, 1.0], "b": ["x", 0.0]}'),
+            "correction_w_three_entries": with_correction('{"w": [1, 1, 1], "b": [0, 0]}'),
+            "correction_w_nan": with_correction('{"w": [NaN, 1.0], "b": [0.0, 0.0]}'),
+            "checkpoint_not_npz": evaluate + ["--checkpoint", text_file("ck.npz", "not an npz")],
+            "checkpoint_without_meta": evaluate + ["--checkpoint", str(no_meta)],
+            "checkpoint_nan_weight": evaluate + ["--checkpoint", str(nan_weight)],
+            "adapt_checkpoint_nan_weight": adapt + ["--set", f"model.checkpoint={nan_weight}"],
         }[case]
         assert main(argv) == cli.EXIT_USAGE
         assert_one_line_error(capsys)

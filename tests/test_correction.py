@@ -13,7 +13,7 @@ from shiftadapt.correction import (
     pseudo_label,
 )
 from shiftadapt.errors import ConfigError, DatasetError
-from conftest import make_scenario
+from conftest import logits_and_labels, make_scenario
 
 W_AXIS = np.linspace(-2.0, 4.0, 21)
 B_AXIS = np.linspace(-5.0, 5.0, 21)
@@ -106,13 +106,6 @@ def calibrated_fixture():
     return np.array(logits), np.array(labels)
 
 
-class FixedLogitModel:
-    """Test double standing in for ModelParams: forward returns canned logits."""
-
-    def __init__(self, logits):
-        self.logits = np.asarray(logits, dtype=np.float64)
-
-
 def fit_on_logits(logits, labels, fit_cfg=None):
     """Drive the fit through the same internals fit_correction uses."""
     cfg = fit_cfg or CorrectionFitConfig()
@@ -153,14 +146,14 @@ class TestFitCorrection:
         scenario = make_scenario(seed=21, n_source=80, n_target=80, n_calib=40)
         _, _, calib = scenario
         params = model.init(256, 8, 8, seed=0)
-        cp = fit_correction(params, calib, CorrectionFitConfig(b_max=1e-6))
+        cp = fit_correction(*logits_and_labels(params, calib), CorrectionFitConfig(b_max=1e-6))
         assert cp.bias_discarded
         assert np.array_equal(cp.b, np.zeros(2))
 
     def test_single_class_warns_but_fits(self):
         calib = dataset_from_texts(["f0p1 f1p1", "f0p2 f1p0", "f0p0 f1p2"], [1, 1, 1])
         params = model.init(256, 8, 8, seed=0)
-        cp = fit_correction(params, calib)
+        cp = fit_correction(*logits_and_labels(params, calib))
         assert any("single class" in w for w in cp.warnings)
 
     def test_never_worse_than_identity(self):
@@ -186,24 +179,32 @@ class TestFitCorrection:
             assert history[-1] <= best_nll + 1e-2
 
     def test_validation(self):
-        params = model.init(256, 8, 8, seed=0)
         with pytest.raises(DatasetError):
-            fit_correction(params, data.Dataset([], "target", "c"))
+            fit_correction(np.empty((0, 2)), [])
         with pytest.raises(DatasetError):
-            fit_correction(
-                params, data.Dataset([data.Example("f0p0", None)], "target", "c")
-            )
+            fit_correction(np.zeros((1, 2)), [None])
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (2, 2, 1)])
+    def test_logits_must_be_n_by_2(self, shape):
+        with pytest.raises(ValueError, match="logits"):
+            fit_correction(np.zeros(shape), [0, 1])
+
+
+class TestPredictLabels:
+    @pytest.mark.parametrize("cp", [None, CorrectionParams.identity()])
+    @pytest.mark.parametrize("texts, want", [([], []), (["a b", "c"], [0, 0])])
+    def test_empty_and_tied_rows(self, cp, texts, want):
+        params = model.init(64, 4, 4, seed=0)
+        params.out_w[:] = 0.0  # logits == out_b == 0: every row ties, and ties go to class 0
+        feats = [data.featurize(t.split(), 64) for t in texts]
+        assert correction.predict_labels(params, feats, cp) == want
 
 
 class TestPseudoLabel:
-    def probs_dataset(self):
-        # texts chosen only as carriers; logits injected via log-probs model-free path
-        return dataset_from_texts(["f0p0 f1p0", "f0p1 f1p1"], [0, 1])
-
     def test_threshold_filtering(self):
         cp = CorrectionParams.identity()
         logits = np.log(np.array([[0.55, 0.45], [0.25, 0.75]]))
-        entries = correction._pseudo_entries(cp, logits, tau=0.6)
+        entries = pseudo_label(cp, logits, tau=0.6)
         assert len(entries) == 1
         e = entries[0]
         assert e.index == 1 and e.label == 1 and e.confidence == pytest.approx(0.75)
@@ -211,54 +212,51 @@ class TestPseudoLabel:
     def test_boundary_confidence_retained(self):
         cp = CorrectionParams.identity()
         logits = np.log(np.array([[0.4, 0.6]]))
-        entries = correction._pseudo_entries(cp, logits, tau=0.6)
+        entries = pseudo_label(cp, logits, tau=0.6)
         assert len(entries) == 1 and entries[0].confidence == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("cp", [CorrectionParams.identity(), CorrectionParams(
+        w=np.array([2.0, 2.0]), b=np.array([1.0, -1.0]))])
+    def test_tied_row_never_kept(self, cp):
+        # A tie's argmax is class 0 with confidence 0.5, below every valid tau.
+        logits = (np.zeros((1, 2)) - cp.b) / cp.w  # corrected logits tie exactly
+        assert apply_correction(cp, logits)[0, 0] == 0.5
+        assert pseudo_label(cp, logits, tau=0.500001) == []
 
     def test_full_interface_on_synthetic(self, small_pretrained):
         pre = small_pretrained["params"]
         pool = small_pretrained["pool"]
         calib = small_pretrained["calib"]
-        cp = fit_correction(pre, calib)
-        ps = pseudo_label(pre, cp, pool, tau=0.7)
-        assert not ps.is_empty
-        assert all(e.confidence >= 0.7 for e in ps.entries)
-        idx = ps.indices()
+        cp = fit_correction(*logits_and_labels(pre, calib))
+        pool_logits, _ = logits_and_labels(pre, pool)
+        ps = pseudo_label(cp, pool_logits, tau=0.7)
+        assert ps
+        assert all(e.confidence >= 0.7 for e in ps)
+        idx = [e.index for e in ps]
         assert len(set(idx)) == len(idx)
         # deterministic
-        ps2 = pseudo_label(pre, cp, pool, tau=0.7)
-        assert ps.entries == ps2.entries
+        ps2 = pseudo_label(cp, pool_logits, tau=0.7)
+        assert ps == ps2
 
     def test_filtering_improves_precision(self, small_pretrained):
         pre = small_pretrained["params"]
         pool = small_pretrained["pool"]
         calib = small_pretrained["calib"]
         truth = [ex.label for ex in pool.examples]
-        cp = fit_correction(pre, calib)
-        filtered = pseudo_label(pre, cp, pool, tau=0.8)
-        unfiltered = pseudo_label(pre, cp, pool, tau=0.500001)
+        cp = fit_correction(*logits_and_labels(pre, calib))
+        pool_logits, _ = logits_and_labels(pre, pool)
+        filtered = pseudo_label(cp, pool_logits, tau=0.8)
+        unfiltered = pseudo_label(cp, pool_logits, tau=0.500001)
         assert len(unfiltered) == len(pool)
 
         def precision(ps):
-            return sum(1 for e in ps.entries if e.label == truth[e.index]) / len(ps)
+            return sum(1 for e in ps if e.label == truth[e.index]) / len(ps)
 
         assert precision(filtered) >= precision(unfiltered)
 
     def test_tau_validated(self, small_pretrained):
-        pre = small_pretrained["params"]
-        pool = small_pretrained["pool"]
+        pool_logits, _ = logits_and_labels(small_pretrained["params"], small_pretrained["pool"])
         with pytest.raises(ConfigError):
-            pseudo_label(pre, CorrectionParams.identity(), pool, tau=0.5)
+            pseudo_label(CorrectionParams.identity(), pool_logits, tau=0.5)
         with pytest.raises(ConfigError):
-            pseudo_label(pre, CorrectionParams.identity(), pool, tau=1.0)
-
-    def test_jsonl_export(self, tmp_path, small_pretrained):
-        pre = small_pretrained["params"]
-        pool = small_pretrained["pool"]
-        ps = pseudo_label(pre, CorrectionParams.identity(), pool, tau=0.6)
-        path = tmp_path / "pseudo.jsonl"
-        ps.write_jsonl(path)
-        import json
-
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert len(lines) == len(ps)
-        assert set(lines[0]) == {"index", "pseudo_label", "confidence"}
+            pseudo_label(CorrectionParams.identity(), pool_logits, tau=1.0)

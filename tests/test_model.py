@@ -312,6 +312,25 @@ class TestCheckpoint:
             model.load_checkpoint(path)
 
 
+    @pytest.mark.parametrize("block, value", [
+        ("out_w", np.full((4, 2), np.nan)),
+        ("embed", np.full((16, 4), np.inf)),
+        ("hidden_b", np.zeros(4, dtype=np.float32)),
+        ("out_b", np.zeros(3)),
+        ("hidden_w", None),  # array missing
+    ])
+    def test_invalid_block_rejected(self, tmp_path, block, value):
+        path = tmp_path / "ck.npz"
+        model.save_checkpoint(model.init(16, 4, 4, seed=0), path)
+        with np.load(path) as npz:
+            arrays = {k: npz[k] for k in npz.files if k != block}
+        if value is not None:
+            arrays[block] = value
+        np.savez(path, **arrays)
+        with pytest.raises(ConfigError):
+            model.load_checkpoint(path)
+
+
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
