@@ -39,12 +39,9 @@ from .metrics import (
 from .mmd import (
     EmbeddingBatch,
     KernelConfig,
-    class_mmd,
     contrastive_grad,
     contrastive_loss,
-    gaussian_kernel,
     median_bandwidth,
-    mmd_sq,
 )
 from .model import (
     ForwardRecord,

@@ -247,7 +247,6 @@ def run_adaptation(
             t_emb = EmbeddingBatch(np.stack([r.phi for r in t_records]), np.asarray(t_labels))
             gamma = _resolve_gamma(cfg.kernel, s_emb, t_emb)
             closs = contrastive_loss(s_emb, t_emb, gamma)
-            contrastive_value = closs.value if closs.value is not None else 0.0
 
             grad_phi = None
             if cfg.lam != 0.0:
@@ -260,8 +259,8 @@ def run_adaptation(
             trace.iterations.append(IterationRecord(
                 iteration=global_iter,
                 nll=nll_total,
-                contrastive=contrastive_value,
-                combined=nll_total + cfg.lam * contrastive_value,
+                contrastive=closs.value,
+                combined=nll_total + cfg.lam * closs.value,
                 gamma=gamma,
                 skipped_terms=closs.skipped,
                 with_replacement=with_repl,

@@ -249,10 +249,12 @@ def _load_source_splits(run: RunConfig):
     return data_mod.split(source, ratios, seed=run.train.seed)
 
 
-def _evaluate(params, dataset, cp=None) -> metrics_mod.MetricsReport:
-    feats = data_mod.featurize_dataset(dataset, params.hash_dim)
+def _features_and_labels(dataset, hash_dim):
+    return data_mod.featurize_dataset(dataset, hash_dim), [ex.label for ex in dataset.examples]
+
+
+def _evaluate(params, feats, truth, cp=None) -> metrics_mod.MetricsReport:
     preds = correction_mod.predict_labels(params, feats, cp)
-    truth = [ex.label for ex in dataset.examples]
     return metrics_mod.metrics_report(metrics_mod.confusion(preds, truth))
 
 
@@ -261,7 +263,7 @@ def cmd_pretrain(run: RunConfig) -> int:
     out_dir = _output_dir(run)
     train, val, test = _load_source_splits(run)
     trained = _pretrain(run, train, val)
-    report = _evaluate(trained, test)
+    report = _evaluate(trained, *_features_and_labels(test, trained.hash_dim))
 
     model_mod.save_checkpoint(trained, out_dir / "pretrained.npz")
     data_mod.write_jsonl(test, out_dir / "source_test.jsonl")
@@ -294,9 +296,13 @@ def cmd_adapt(run: RunConfig) -> int:
         eval_set = calib
         eval_name = "calib"
 
-    ba_before = _evaluate(pretrained, eval_set).ba
+    eval_feats, eval_truth = _features_and_labels(eval_set, pretrained.hash_dim)
+    ba_before = _evaluate(pretrained, eval_feats, eval_truth).ba
     adapted, trace = adapt_mod.run_adaptation(pretrained, train, target, calib, run.adapt)
-    ba_after = _evaluate(adapted, eval_set).ba
+    ba_after = _evaluate(adapted, eval_feats, eval_truth).ba
+    if trace.best_epoch == 0:
+        print("warning: no adaptation epoch beat the input model on calibration BA; "
+              "adapted.npz is the input model", file=sys.stderr)
 
     last_epoch = trace.epochs[-1]
     summary = {
@@ -354,7 +360,7 @@ def cmd_evaluate(checkpoint, dataset_path, correction_path=None, out_path=None) 
             except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
                 raise ConfigError(f"correction file {correction_path} is not JSON: {exc}") from exc
         cp = correction_mod.CorrectionParams.from_dict(obj)
-    report = _evaluate(params, dataset, cp)
+    report = _evaluate(params, *_features_and_labels(dataset, params.hash_dim), cp)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -43,9 +43,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.examples)
 
-    def labels(self) -> list[Optional[int]]:
-        return [ex.label for ex in self.examples]
-
     def is_fully_labeled(self) -> bool:
         return all(ex.label is not None for ex in self.examples)
 

@@ -40,16 +40,6 @@ class MetricsReport:
             "degenerate": list(self.degenerate),
         }
 
-    CSV_HEADER = "ba,accuracy,f1,n,support_pos,support_neg,degenerate"
-
-    def csv_row(self) -> str:
-        """Single CSV row matching CSV_HEADER, for experiment grids."""
-        return ",".join([
-            repr(self.ba), repr(self.accuracy), repr(self.f1),
-            str(self.n), str(self.support_pos), str(self.support_neg),
-            "|".join(self.degenerate),
-        ])
-
 
 def confusion(preds: Sequence[int], truth: Sequence[int]) -> ConfusionMatrix:
     """Count tp/tn/fp/fn over parallel binary label sequences."""

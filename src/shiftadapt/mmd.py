@@ -1,15 +1,17 @@
-"""Gaussian-kernel discrepancy machinery.
+"""Gaussian-kernel contrastive discrepancy and its exact gradient.
 
-Squared MMD is the biased V-statistic (self-pairs included in the double
-sums). The class-aware variant restricts each of the three sums to an
-indicator-selected class pair and normalizes by the indicator count; the
-contrastive loss combines intra-class terms positively and inter-class terms
-with weight -1/2. Gradients with respect to every embedding are exact.
+The class-pair discrepancy D{c1}{c2} is a biased V-statistic (self-pairs
+included in the double sums) whose three sums, source-source,
+target-target and source-target, are restricted to an indicator-selected
+class pair and normalized by the indicator count. The contrastive loss
+combines the intra-class terms positively and the inter-class terms with
+weight -1/2. Both the value and the gradient are weighted sums over the
+three kernel blocks, with one set of class-pair weights.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,7 +52,7 @@ class EmbeddingBatch:
 
 
 class ContrastiveResult(NamedTuple):
-    value: Optional[float]  # None when every term's denominator is zero
+    value: float
     skipped: tuple[str, ...]
 
 
@@ -63,18 +65,6 @@ class ContrastiveGradients(NamedTuple):
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diff = a[:, None, :] - b[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
-
-
-def gaussian_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """exp(-||x - y||^2 / gamma); 1 exactly when x == y."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    d = x - y
-    return float(np.exp(-(d @ d) / gamma))
 
 
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -96,99 +86,15 @@ def median_bandwidth(batch_a: EmbeddingBatch, batch_b: EmbeddingBatch) -> float:
     return med if med >= 1e-12 else 1.0
 
 
-def mmd_sq(a: Sequence[np.ndarray], b: Sequence[np.ndarray], gamma: float) -> float:
-    """Biased squared-MMD estimate: mean k(A,A) + mean k(B,B) - 2 mean k(A,B).
+def _class_pair_weights(sl: np.ndarray, tl: np.ndarray):
+    """(w_ss, w_tt, w_st, skipped): the contrastive loss is the sum of
+    w_ss∘k_ss + w_tt∘k_tt + w_st∘k_st over the three kernel blocks.
 
-    Mathematically non-negative; rounding may yield values down to -1e-12,
-    which callers clamp to 0 when reporting magnitudes.
+    Each (c1, c2) term adds coefficient / indicator count to the class-pair
+    entries of each block, with -2 on the cross block. A block whose
+    indicator count is zero contributes nothing and is named in `skipped`
+    as "d{c1}{c2}:{ss|tt|st}", in term order.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("mmd_sq requires non-empty vector lists")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return float(
-        _kernel_matrix(a, a, gamma).mean()
-        + _kernel_matrix(b, b, gamma).mean()
-        - 2.0 * _kernel_matrix(a, b, gamma).mean()
-    )
-
-
-def _indicator_mean(x, x_labels, y, y_labels, c1, c2, gamma):
-    """Indicator-normalized kernel mean over one batch pair, or None if no pairs."""
-    mx = x_labels == c1
-    my = y_labels == c2
-    count = int(mx.sum()) * int(my.sum())
-    if count == 0:
-        return None
-    return float(_kernel_matrix(x[mx], y[my], gamma).sum() / count)
-
-
-def class_mmd(
-    source: EmbeddingBatch, target: EmbeddingBatch, c1: int, c2: int, gamma: float
-) -> ContrastiveResult:
-    """Class-pair discrepancy: term(S,S) + term(T,T) - 2 term(S,T).
-
-    A term whose indicator count is zero is dropped and reported in `skipped`;
-    value is None when all three are dropped.
-    """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    terms = (
-        ("ss", source, source, 1.0),
-        ("tt", target, target, 1.0),
-        ("st", source, target, -2.0),
-    )
-    total = 0.0
-    any_defined = False
-    skipped = []
-    for part, x, y, coef in terms:
-        mean = _indicator_mean(x.vectors, x.labels, y.vectors, y.labels, c1, c2, gamma)
-        if mean is None:
-            skipped.append(part)
-        else:
-            total += coef * mean
-            any_defined = True
-    return ContrastiveResult(total if any_defined else None, tuple(skipped))
-
-
-def contrastive_loss(
-    source: EmbeddingBatch, target: EmbeddingBatch, gamma: float
-) -> ContrastiveResult:
-    """D00 + D11 - (D01 + D10)/2 composed from class_mmd calls.
-
-    Intra-class terms pull same-class examples together across domains; the
-    negated inter-class terms push different classes apart. With no skipped
-    terms the value factors as ||a||^2 + ||b||^2 - <a, b> over the per-class
-    mean-embedding gaps a, b, so it is non-negative and minimized at 0 when
-    both classes align across domains.
-    """
-    total = 0.0
-    any_defined = False
-    skipped = []
-    for c1, c2, coef in _CONTRASTIVE_TERMS:
-        result = class_mmd(source, target, c1, c2, gamma)
-        skipped.extend(f"d{c1}{c2}:{part}" for part in result.skipped)
-        if result.value is not None:
-            total += coef * result.value
-            any_defined = True
-    return ContrastiveResult(total if any_defined else None, tuple(skipped))
-
-
-def contrastive_grad(
-    source: EmbeddingBatch, target: EmbeddingBatch, gamma: float
-) -> ContrastiveGradients:
-    """Exact gradient of contrastive_loss w.r.t. every embedding vector.
-
-    Uses dk(x, y)/dx = -(2/gamma) (x - y) k(x, y). Skipped terms match
-    contrastive_loss exactly (same members, same order), so the gradient is
-    consistent with the reported loss value.
-    """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    s, t = source.vectors, target.vectors
-    sl, tl = source.labels, target.labels
     w_ss = np.zeros((sl.size, sl.size))
     w_tt = np.zeros((tl.size, tl.size))
     w_st = np.zeros((sl.size, tl.size))
@@ -206,7 +112,44 @@ def contrastive_grad(
                 skipped.append(f"d{c1}{c2}:{part}")
             else:
                 w[np.ix_(mx, my)] += part_coef * coef / count
-    skipped = tuple(skipped)
+    return w_ss, w_tt, w_st, tuple(skipped)
+
+
+def contrastive_loss(
+    source: EmbeddingBatch, target: EmbeddingBatch, gamma: float
+) -> ContrastiveResult:
+    """D00 + D11 - (D01 + D10)/2, as the sum of W∘K over the three blocks.
+
+    Intra-class terms pull same-class examples together across domains; the
+    negated inter-class terms push different classes apart. With no skipped
+    terms the value factors as ||a||^2 + ||b||^2 - <a, b> over the per-class
+    mean-embedding gaps a, b, so it is non-negative and minimized at 0 when
+    both classes align across domains. Skipped terms add 0.
+    """
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    s, t = source.vectors, target.vectors
+    w_ss, w_tt, w_st, skipped = _class_pair_weights(source.labels, target.labels)
+    value = (
+        (w_ss * _kernel_matrix(s, s, gamma)).sum()
+        + (w_tt * _kernel_matrix(t, t, gamma)).sum()
+        + (w_st * _kernel_matrix(s, t, gamma)).sum()
+    )
+    return ContrastiveResult(float(value), skipped)
+
+
+def contrastive_grad(
+    source: EmbeddingBatch, target: EmbeddingBatch, gamma: float
+) -> ContrastiveGradients:
+    """Exact gradient of contrastive_loss w.r.t. every embedding vector.
+
+    Uses dk(x, y)/dx = -(2/gamma) (x - y) k(x, y) on the same class-pair
+    weights as contrastive_loss, so `skipped` is the same tuple.
+    """
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    s, t = source.vectors, target.vectors
+    w_ss, w_tt, w_st, skipped = _class_pair_weights(source.labels, target.labels)
 
     k_ss = _kernel_matrix(s, s, gamma)
     k_tt = _kernel_matrix(t, t, gamma)

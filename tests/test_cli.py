@@ -300,6 +300,18 @@ class TestAdapt:
         assert 0.0 <= summary["ba_after"] <= 1.0  # the gain bound is asserted in acceptance
         assert len(summary["correction"]["w"]) == 2
         assert summary["epoch_detail"][0]["n_pseudo"] > 0
+        assert summary["best_epoch"] > 0 and "warning:" not in capsys.readouterr().err
+
+    def test_warns_when_no_epoch_beats_the_input_model(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "kept"
+        args = self.adapt_args(pipeline_dir, out, "--set", "adapt.label_correction=false",
+                               "--set", "adapt.tau=0.6")
+        assert main(args) == cli.EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["best_epoch"] == 0 and summary["ba_gain"] == 0.0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1 and "input model" in warnings[0]
 
     def test_byte_identical_reruns(self, pipeline_dir, tmp_path):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"

@@ -122,11 +122,3 @@ class TestSerialization:
         rep = metrics_report(ConfusionMatrix(tp=8, tn=6, fp=2, fn=4))
         d = rep.to_dict()
         assert d["n"] == 20 and d["support_pos"] == 12 and d["degenerate"] == []
-
-    def test_csv_row_matches_header(self):
-        rep = metrics_report(ConfusionMatrix(tp=0, tn=10, fp=0, fn=0))
-        header = rep.CSV_HEADER.split(",")
-        row = rep.csv_row().split(",")
-        assert len(row) == len(header)
-        assert float(row[0]) == rep.ba
-        assert row[-1] == "no_positive_support|f1_undefined"
