@@ -52,7 +52,6 @@ from .model import (
     forward,
     init,
     load_checkpoint,
-    nll_loss,
     pretrain,
     save_checkpoint,
     softmax,

@@ -81,6 +81,7 @@ class AdaptTrace:
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0  # 0 means the unadapted input model was best
     best_calib_ba: float = 0.0
+    correction_warnings: list[str] = field(default_factory=list)  # from every correction fit
 
     def write_csv(self, path) -> None:
         """Per-iteration CSV: iteration, nll, contrastive, combined, gamma, skipped_terms."""
@@ -172,9 +173,6 @@ def run_adaptation(
     calib_labels = [ex.label for ex in calib.examples]
     tgt_truth = [ex.label for ex in target.examples] if target.is_fully_labeled() else None
 
-    def logits_of(params, feats):
-        return np.stack([forward(params, f).logits for f in feats])
-
     def calib_ba(logits):
         preds = np.argmax(softmax(logits), axis=1).tolist()
         return balanced_accuracy(confusion(preds, calib_labels))
@@ -185,7 +183,7 @@ def run_adaptation(
     best = model.copy()
     # Calibration logits of the current parameters: they give the epoch's
     # calibration BA and feed the next correction fit.
-    calib_logits = logits_of(work, calib_feats)
+    calib_logits = forward(work, calib_feats).logits
     best_ba = calib_ba(calib_logits)
     best_epoch = 0
 
@@ -203,7 +201,8 @@ def run_adaptation(
                 cp = fit_correction(calib_logits, calib_labels)
             else:
                 cp = CorrectionParams.identity()
-            entries = pseudo_label(cp, logits_of(work, tgt_feats), cfg.tau)
+            trace.correction_warnings.extend(cp.warnings)
+            entries = pseudo_label(cp, forward(work, tgt_feats).logits, cfg.tau)
             if not entries:
                 raise EmptyPseudoLabelSetError(cfg.tau)
         if iterations_per_epoch is None:
@@ -230,31 +229,30 @@ def run_adaptation(
             s_labels = src_labels[s_indices].tolist()
             assert _histogram(s_labels) == _histogram(t_labels), "sampler histogram mismatch"
 
-            s_records = [forward(work, src_feats[i]) for i in s_indices]
-            t_records = [forward(work, tgt_feats[e.index]) for e in t_batch]
+            # One forward pass: source rows first, so row n_s starts the target rows.
+            rec = forward(work, [src_feats[i] for i in s_indices]
+                          + [tgt_feats[e.index] for e in t_batch])
+            n_s, n_t = len(s_indices), len(t_batch)
 
             # NLL head: equal-weight average of the source and target batch means.
-            records = s_records + t_records
-            weights = np.repeat([0.5 / len(s_records), 0.5 / len(t_records)],
-                                [len(s_records), len(t_records)])
-            terms, grad_logits = nll_head(records, s_labels + t_labels, weights)
+            weights = np.repeat([0.5 / n_s, 0.5 / n_t], [n_s, n_t])
+            terms, grad_logits = nll_head(rec.logits, s_labels + t_labels, weights)
             # A sequential sum from +0.0, as the trace has always been written: not
             # pairwise (np.sum) or compensated (sum() from 3.12), and never -0.0.
             nll_total = 0.0 + float(np.cumsum(terms)[-1])
 
             # Contrastive head on the phi representations; gamma frozen per batch pair.
-            s_emb = EmbeddingBatch(np.stack([r.phi for r in s_records]), np.asarray(s_labels))
-            t_emb = EmbeddingBatch(np.stack([r.phi for r in t_records]), np.asarray(t_labels))
+            s_emb = EmbeddingBatch(rec.phi[:n_s], np.asarray(s_labels))
+            t_emb = EmbeddingBatch(rec.phi[n_s:], np.asarray(t_labels))
             gamma = _resolve_gamma(cfg.kernel, s_emb, t_emb)
             closs = contrastive_loss(s_emb, t_emb, gamma)
 
             grad_phi = None
             if cfg.lam != 0.0:
                 grads_c = contrastive_grad(s_emb, t_emb, gamma)
-                grad_phi = [cfg.lam * g for g in grads_c.grad_source]
-                grad_phi += [cfg.lam * g for g in grads_c.grad_target]
+                grad_phi = cfg.lam * np.vstack([grads_c.grad_source, grads_c.grad_target])
 
-            opt.step(work, backward(work, records, grad_logits, grad_phi))
+            opt.step(work, backward(work, rec, grad_logits, grad_phi))
 
             trace.iterations.append(IterationRecord(
                 iteration=global_iter,
@@ -266,7 +264,7 @@ def run_adaptation(
                 with_replacement=with_repl,
             ))
 
-        calib_logits = logits_of(work, calib_feats)
+        calib_logits = forward(work, calib_feats).logits
         ba = calib_ba(calib_logits)
         pseudo_labels = [e.label for e in entries]
         pseudo_accuracy = None

@@ -254,6 +254,8 @@ def _features_and_labels(dataset, hash_dim):
 
 
 def _evaluate(params, feats, truth, cp=None) -> metrics_mod.MetricsReport:
+    if not truth:
+        raise DatasetError("the evaluation set is empty")
     preds = correction_mod.predict_labels(params, feats, cp)
     return metrics_mod.metrics_report(metrics_mod.confusion(preds, truth))
 
@@ -300,6 +302,8 @@ def cmd_adapt(run: RunConfig) -> int:
     ba_before = _evaluate(pretrained, eval_feats, eval_truth).ba
     adapted, trace = adapt_mod.run_adaptation(pretrained, train, target, calib, run.adapt)
     ba_after = _evaluate(adapted, eval_feats, eval_truth).ba
+    for message in dict.fromkeys(trace.correction_warnings):
+        print(f"warning: label correction: {message}", file=sys.stderr)
     if trace.best_epoch == 0:
         print("warning: no adaptation epoch beat the input model on calibration BA; "
               "adapted.npz is the input model", file=sys.stderr)

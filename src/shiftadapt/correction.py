@@ -218,6 +218,6 @@ def predict_labels(
     cp: Optional[CorrectionParams] = None,
 ) -> list[int]:
     """Hard predictions, optionally through the corrected softmax; ties go to class 0."""
-    logits = np.reshape([forward(model, f).logits for f in feats], (-1, 2))
+    logits = forward(model, feats).logits
     probs = apply_correction(cp, logits) if cp is not None else softmax(logits)
     return np.argmax(probs, axis=1).tolist()

@@ -83,11 +83,6 @@ class ModelParams:
     def blocks(self):
         return tuple(getattr(self, b) for b in PARAM_BLOCKS)
 
-    def allclose(self, other: "ModelParams") -> bool:
-        return all(
-            np.array_equal(a, b) for a, b in zip(self.blocks(), other.blocks())
-        )
-
     @classmethod
     def zeros_like(cls, params: "ModelParams") -> "ModelParams":
         """Zero blocks shaped like params: a gradient or an optimizer moment."""
@@ -96,13 +91,13 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ForwardRecord:
-    """Cached forward pass: enough state for exact backpropagation."""
+    """Cached forward pass of a batch of n examples: enough state for exact
+    backpropagation. Row i of each array belongs to feats[i]."""
 
-    x: SparseVec
-    embedded: np.ndarray  # (d_embed,)
-    pre_hidden: np.ndarray  # (d_hidden,) pre-activation
-    phi: np.ndarray  # (d_hidden,) tanh(pre_hidden)
-    logits: np.ndarray  # (2,)
+    feats: tuple[SparseVec, ...]
+    embedded: np.ndarray  # (n, d_embed)
+    phi: np.ndarray  # (n, d_hidden), tanh of the hidden pre-activation
+    logits: np.ndarray  # (n, 2)
 
 
 def init(hash_dim: int, d_embed: int, d_hidden: int, seed: int) -> ModelParams:
@@ -124,15 +119,19 @@ def init(hash_dim: int, d_embed: int, d_hidden: int, seed: int) -> ModelParams:
     )
 
 
-def forward(params: ModelParams, x: SparseVec) -> ForwardRecord:
-    """Forward pass phi = tanh(x @ embed @ hidden_w + hidden_b), logits = phi @ out_w + out_b."""
-    if x.dim != params.hash_dim:
-        raise ValueError(f"input dim {x.dim} != model hash_dim {params.hash_dim}")
-    embedded = x.values @ params.embed[x.indices]
-    pre_hidden = embedded @ params.hidden_w + params.hidden_b
-    phi = np.tanh(pre_hidden)
+def forward(params: ModelParams, feats: Sequence[SparseVec]) -> ForwardRecord:
+    """Forward pass of a batch: phi = tanh(X @ embed @ hidden_w + hidden_b) and
+    logits = phi @ out_w + out_b, with row i of X the sparse vector feats[i]."""
+    feats = tuple(feats)
+    embedded = np.empty((len(feats), params.d_embed))
+    # Row by row, so no (nnz, d_embed) gather of the whole batch is ever held.
+    for row, x in zip(embedded, feats):
+        if x.dim != params.hash_dim:
+            raise ValueError(f"input dim {x.dim} != model hash_dim {params.hash_dim}")
+        row[:] = x.values @ params.embed[x.indices]
+    phi = np.tanh(embedded @ params.hidden_w + params.hidden_b)
     logits = phi @ params.out_w + params.out_b
-    return ForwardRecord(x=x, embedded=embedded, pre_hidden=pre_hidden, phi=phi, logits=logits)
+    return ForwardRecord(feats=feats, embedded=embedded, phi=phi, logits=logits)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -145,23 +144,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def nll_loss(probs: np.ndarray, label: int) -> float:
-    """Negative log likelihood of the labeled class, probability floored at 1e-12."""
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
-    return float(-np.log(max(float(probs[label]), PROB_FLOOR)))
-
-
-def nll_head(
-    records: Sequence[ForwardRecord], labels: Sequence[int], weights
-) -> tuple[np.ndarray, np.ndarray]:
-    """Terms weights[i] * nll_loss(softmax(logits_i), labels[i]) and their (n, 2)
-    logit gradients; weights holds one weight per record, or one for all."""
+def nll_head(logits: np.ndarray, labels: Sequence[int], weights) -> tuple[np.ndarray, np.ndarray]:
+    """Terms -weights[i] * log softmax(logits)[i, labels[i]], the probability
+    floored at 1e-12, and their (n, 2) logit gradients; weights holds one
+    weight per row, or one for all."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (len(records),) or not np.isin(labels, (0, 1)).all():
-        raise ValueError("need one label in {0, 1} per record")
+    if labels.shape != (len(logits),) or not np.isin(labels, (0, 1)).all():
+        raise ValueError("need one label in {0, 1} per logits row")
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), labels.shape)
-    probs = softmax(np.reshape([rec.logits for rec in records], (-1, 2)))
+    probs = softmax(logits)
     rows = np.arange(len(labels))
     terms = -np.log(np.maximum(probs[rows, labels], PROB_FLOOR)) * weights
     grad = probs.copy()
@@ -171,38 +162,34 @@ def nll_head(
 
 def backward(
     params: ModelParams,
-    records: Sequence[ForwardRecord],
-    grad_logits: Sequence[np.ndarray],
-    grad_phi: Optional[Sequence[Optional[np.ndarray]]] = None,
+    rec: ForwardRecord,
+    grad_logits: np.ndarray,
+    grad_phi: Optional[np.ndarray] = None,
 ) -> ModelParams:
-    """Exact batch gradients given upstream gradients at the logits and at phi.
+    """Exact batch gradients given (n, 2) upstream gradients at the logits and,
+    optionally, (n, d_hidden) ones at phi.
 
-    grad_phi entries may be None (treated as zero); accumulation runs in
-    record order so results are bit-reproducible.
+    Embedding rows accumulate in batch order, so results are bit-reproducible.
     """
-    if len(records) != len(grad_logits):
-        raise ValueError("records and grad_logits must have equal length")
-    if grad_phi is not None and len(grad_phi) != len(records):
-        raise ValueError("grad_phi must match records in length")
-    g = ModelParams.zeros_like(params)
-    for i, rec in enumerate(records):
-        gl = np.asarray(grad_logits[i], dtype=np.float64)
-        if gl.shape != (2,):
-            raise ValueError(f"grad_logits[{i}] must be a 2-vector")
-        g.out_w += np.outer(rec.phi, gl)
-        g.out_b += gl
-        gphi = params.out_w @ gl
-        if grad_phi is not None and grad_phi[i] is not None:
-            gp = np.asarray(grad_phi[i], dtype=np.float64)
-            if gp.shape != rec.phi.shape:
-                raise ValueError(f"grad_phi[{i}] has shape {gp.shape}, want {rec.phi.shape}")
-            gphi = gphi + gp
-        gh = gphi * (1.0 - rec.phi ** 2)
-        g.hidden_w += np.outer(rec.embedded, gh)
-        g.hidden_b += gh
-        ge = params.hidden_w @ gh
-        if rec.x.nnz:
-            g.embed[rec.x.indices] += np.outer(rec.x.values, ge)
+    gl = np.asarray(grad_logits, dtype=np.float64)
+    if gl.shape != rec.logits.shape:
+        raise ValueError(f"grad_logits has shape {gl.shape}, want {rec.logits.shape}")
+    gphi = gl @ params.out_w.T
+    if grad_phi is not None:
+        gp = np.asarray(grad_phi, dtype=np.float64)
+        if gp.shape != rec.phi.shape:
+            raise ValueError(f"grad_phi has shape {gp.shape}, want {rec.phi.shape}")
+        gphi += gp
+    gh = gphi * (1.0 - rec.phi ** 2)
+    g = ModelParams(
+        embed=np.zeros_like(params.embed),
+        hidden_w=rec.embedded.T @ gh,
+        hidden_b=gh.sum(axis=0),
+        out_w=rec.phi.T @ gl,
+        out_b=gl.sum(axis=0),
+    )
+    for x, ge in zip(rec.feats, gh @ params.hidden_w.T):
+        g.embed[x.indices] += np.outer(x.values, ge)
     return g
 
 
@@ -236,8 +223,7 @@ class Optimizer:
 
 def predict(params: ModelParams, feats: Sequence[SparseVec]) -> list[int]:
     """Argmax class per featurized example; ties resolve to class 0."""
-    logits = np.reshape([forward(params, f).logits for f in feats], (-1, 2))
-    return np.argmax(softmax(logits), axis=1).tolist()
+    return np.argmax(softmax(forward(params, feats).logits), axis=1).tolist()
 
 
 def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig) -> ModelParams:
@@ -250,14 +236,14 @@ def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig
         raise ConfigError("pretrain requires a non-empty training set")
     if not train.is_fully_labeled() or not val.is_fully_labeled():
         raise DatasetError("pretrain requires fully labeled train and val datasets")
+    if len(val) == 0:
+        raise DatasetError("pretrain requires a non-empty validation split to pick the best epoch")
     train_feats = featurize_dataset(train, params.hash_dim)
     val_feats = featurize_dataset(val, params.hash_dim)
     train_labels = np.asarray([ex.label for ex in train.examples])
     val_labels = [ex.label for ex in val.examples]
 
     def val_ba(p):
-        if not val_feats:
-            return 0.0
         return balanced_accuracy(confusion(predict(p, val_feats), val_labels))
 
     best = params.copy()
@@ -270,9 +256,9 @@ def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
-            records = [forward(work, train_feats[i]) for i in batch]
-            _, grads = nll_head(records, train_labels[batch], 1.0 / len(batch))
-            opt.step(work, backward(work, records, grads))
+            rec = forward(work, [train_feats[i] for i in batch])
+            _, grads = nll_head(rec.logits, train_labels[batch], 1.0 / len(batch))
+            opt.step(work, backward(work, rec, grads))
         ba = val_ba(work)
         if ba > best_ba:
             best_ba = ba

@@ -66,5 +66,9 @@ def ba_on(params, dataset):
 def logits_and_labels(params, dataset):
     """(n, 2) logits of params on dataset, and its labels: stage 1's inputs."""
     feats = data.featurize_dataset(dataset, params.hash_dim)
-    logits = np.reshape([model.forward(params, f).logits for f in feats], (-1, 2))
-    return logits, [ex.label for ex in dataset.examples]
+    return model.forward(params, feats).logits, [ex.label for ex in dataset.examples]
+
+
+def same_params(a, b):
+    """Whether two ModelParams hold bit-identical blocks."""
+    return all(np.array_equal(x, y) for x, y in zip(a.blocks(), b.blocks()))

@@ -136,24 +136,15 @@ def test_criterion_2_gradient_fidelity():
             for _ in range(4)
         ]
         labels = rng.integers(0, 2, 4).tolist()
-        records, gls, gps = [], [], []
-        for f, y in zip(feats, labels):
-            rec = model.forward(params, f)
-            probs = model.softmax(rec.logits)
-            g = probs.copy()
-            g[y] -= 1.0
-            records.append(rec)
-            gls.append(g)
-            gps.append(rng.normal(size=d_hidden))
-        grads = model.backward(params, records, gls, gps)
+        gps = rng.normal(size=(4, d_hidden))
+        rec = model.forward(params, feats)
+        _, gls = model.nll_head(rec.logits, labels, 1.0)
+        grads = model.backward(params, rec, gls, gps)
 
         def scalar(p):
-            total = 0.0
-            for f, y, gp in zip(feats, labels, gps):
-                rec = model.forward(p, f)
-                total += model.nll_loss(model.softmax(rec.logits), y)
-                total += float(gp @ rec.phi)
-            return total
+            rec = model.forward(p, feats)
+            terms, _ = model.nll_head(rec.logits, labels, 1.0)
+            return float(terms.sum() + np.sum(gps * rec.phi))
 
         for name in model.PARAM_BLOCKS:
             arr = getattr(params, name)
@@ -189,7 +180,7 @@ def test_criterion_3_label_shift_correction_recovery():
     pool_feats = data.featurize_dataset(pool, pre.hash_dim)
 
     calib_feats = data.featurize_dataset(calib, pre.hash_dim)
-    calib_logits = np.stack([model.forward(pre, f).logits for f in calib_feats])
+    calib_logits = model.forward(pre, calib_feats).logits
     calib_labels = np.asarray([ex.label for ex in calib.examples])
 
     uncorrected_prior = float(np.mean(correction.predict_labels(pre, pool_feats)))

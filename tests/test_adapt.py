@@ -10,7 +10,7 @@ from shiftadapt.errors import (
     EmptyPseudoLabelSetError,
 )
 from shiftadapt.mmd import KernelConfig
-from conftest import ba_on, logits_and_labels
+from conftest import ba_on, logits_and_labels, same_params
 
 
 def labeled_source(counts={0: 30, 1: 30}):
@@ -117,7 +117,7 @@ class TestRunAdaptation:
         )
         assert trace.iterations == trace2.iterations
         assert trace.epochs == trace2.epochs
-        assert params.allclose(params2)
+        assert same_params(params, params2)
 
     @pytest.mark.parametrize("refresh", [True, False])
     def test_stage_one_runs_through_the_public_functions(
@@ -202,7 +202,7 @@ class TestRunAdaptation:
             )
             runs.append((params, trace))
         # the kernel cannot influence the trajectory when lambda == 0
-        assert runs[0][0].allclose(runs[1][0])
+        assert same_params(runs[0][0], runs[1][0])
         for rec in runs[0][1].iterations:
             assert rec.combined == rec.nll
 
@@ -215,7 +215,7 @@ class TestRunAdaptation:
             small_pretrained["calib"],
             AdaptConfig(seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size, lam=0.0),
         )
-        assert not params.allclose(params2)
+        assert not same_params(params, params2)
 
     def test_empty_pseudo_set_aborts_with_guidance(self, small_scenario):
         source, pool, calib = small_scenario

@@ -184,12 +184,19 @@ class TestConfigMachinery:
         "correction_not_json", "correction_without_b", "correction_b_not_numeric",
         "correction_w_three_entries", "correction_w_nan", "checkpoint_not_npz",
         "checkpoint_without_meta", "checkpoint_nan_weight", "adapt_checkpoint_nan_weight",
+        "evaluate_empty_dataset", "pretrain_four_examples", "pretrain_empty_test_split",
     ])
     def test_expected_failure_exits_2_with_one_line(self, pipeline_dir, tmp_path, capsys, case):
         data_dir, missing = pipeline_dir["data"], str(tmp_path / "missing")
         rows = (data_dir / "source.jsonl").read_text(encoding="utf-8").splitlines()
         ones = tmp_path / "ones.jsonl"
         ones.write_text("".join(r + "\n" for r in rows if json.loads(r)["label"] == 1))
+        empty, four, nine = tmp_path / "empty.jsonl", tmp_path / "four.jsonl", tmp_path / "nine.jsonl"
+        empty.write_text("")
+        four.write_text("".join(r + "\n" for r in rows[:4]))
+        nine.write_text("".join(r + "\n" for r in rows[:9]))
+        pretrain = ["pretrain", "--config", str(pipeline_dir["cfg"]),
+                    "--set", f"output.directory={tmp_path / 'p'}"]
         adapt = with_data_paths(["adapt", "--config", str(pipeline_dir["cfg"]),
                                  "--set", f"output.directory={tmp_path / 'o'}"], data_dir)
         pretrained = pipeline_dir["pre"] / "pretrained.npz"
@@ -228,6 +235,14 @@ class TestConfigMachinery:
             "checkpoint_without_meta": evaluate + ["--checkpoint", str(no_meta)],
             "checkpoint_nan_weight": evaluate + ["--checkpoint", str(nan_weight)],
             "adapt_checkpoint_nan_weight": adapt + ["--set", f"model.checkpoint={nan_weight}"],
+            "evaluate_empty_dataset": ["evaluate", "--checkpoint", str(pretrained),
+                                       "--data", str(empty)],
+            # 4 rows leave the validation split empty: no epoch could be selected
+            "pretrain_four_examples": pretrain + ["--set", f"data.source={four}"],
+            # 9 rows at these ratios give 8 train, 1 validation and 0 test rows
+            "pretrain_empty_test_split": pretrain + [
+                "--set", f"data.source={nine}", "--set", "data.split_ratios=[0.7, 0.2, 0.1]",
+            ],
         }[case]
         assert main(argv) == cli.EXIT_USAGE
         assert_one_line_error(capsys)
@@ -313,6 +328,17 @@ class TestAdapt:
                     if line.startswith("warning:")]
         assert len(warnings) == 1 and "input model" in warnings[0]
 
+    def test_warns_once_per_correction_fit_message(self, pipeline_dir, tmp_path, capsys):
+        rows = (pipeline_dir["data"] / "calib.jsonl").read_text(encoding="utf-8").splitlines()
+        ones = tmp_path / "calib_ones.jsonl"
+        ones.write_text("".join(r + "\n" for r in rows if json.loads(r)["label"] == 1))
+        args = self.adapt_args(pipeline_dir, tmp_path / "one_class", "--set", f"data.calib={ones}")
+        assert main(args) == cli.EXIT_OK
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if "label correction" in line]
+        # two epochs refit the correction twice; the message is printed once
+        assert warnings == ["warning: label correction: calibration set contains a single class (1)"]
+
     def test_byte_identical_reruns(self, pipeline_dir, tmp_path):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
         assert main(self.adapt_args(pipeline_dir, out1)) == 0
@@ -362,6 +388,20 @@ class TestEvaluate:
         assert json.loads(out_file.read_text()) == json.loads(
             (pipeline_dir["pre"] / "pretrain_metrics.json").read_text()
         )
+
+    def test_reproduces_the_adapt_summary_exactly(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "ad"
+        args = ["adapt", "--config", str(pipeline_dir["cfg"]),
+                "--set", f"output.directory={out}",
+                "--set", f"model.checkpoint={pipeline_dir['pre']}/pretrained.npz"]
+        assert main(with_data_paths(args, pipeline_dir["data"])) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        capsys.readouterr()
+        for checkpoint, key in ((pipeline_dir["pre"] / "pretrained.npz", "ba_before"),
+                                (out / "adapted.npz", "ba_after")):
+            assert main(["evaluate", "--checkpoint", str(checkpoint),
+                         "--data", str(pipeline_dir["data"] / "target_labels.jsonl")]) == 0
+            assert json.loads(capsys.readouterr().out)["ba"] == summary[key], key
 
     def test_identity_correction_changes_nothing(self, pipeline_dir, tmp_path, capsys):
         identity = tmp_path / "identity.json"

@@ -5,7 +5,7 @@ import pytest
 
 from shiftadapt import data, model
 from shiftadapt.errors import ConfigError, DatasetError
-from conftest import ba_on, make_scenario
+from conftest import ba_on, make_scenario, same_params
 
 
 def toy_vec(dim=64, pairs=((3, 1.0), (17, -0.5))):
@@ -18,7 +18,7 @@ class TestInit:
     def test_deterministic(self):
         a = model.init(128, 8, 4, seed=9)
         b = model.init(128, 8, 4, seed=9)
-        assert a.allclose(b)
+        assert same_params(a, b)
 
     def test_biases_zero(self):
         p = model.init(64, 16, 8, seed=0)
@@ -41,28 +41,42 @@ class TestForward:
         p = model.init(64, 8, 4, seed=0)
         p.hidden_b[:] = np.linspace(-1, 1, 4)
         empty = data.SparseVec(np.empty(0, np.int64), np.empty(0, np.float64), 64)
-        rec = model.forward(p, empty)
-        assert np.array_equal(rec.phi, np.tanh(p.hidden_b))
+        rec = model.forward(p, [empty, empty])
+        assert np.array_equal(rec.phi, np.tile(np.tanh(p.hidden_b), (2, 1)))
         assert np.array_equal(rec.logits, rec.phi @ p.out_w + p.out_b)
 
     def test_doubling_input_doubles_preactivation_when_bias_zero(self):
         p = model.init(64, 8, 4, seed=0)  # hidden_b is zero at init
         x = toy_vec()
         x2 = data.SparseVec(x.indices, 2.0 * x.values, x.dim)
-        r1 = model.forward(p, x)
-        r2 = model.forward(p, x2)
-        assert np.array_equal(r2.pre_hidden, 2.0 * r1.pre_hidden)
+        r1, r2 = model.forward(p, [x, x]), model.forward(p, [x2, x2])
+        assert np.array_equal(r2.embedded, 2.0 * r1.embedded)
+        assert np.array_equal(r2.phi, np.tanh(2.0 * (r1.embedded @ p.hidden_w)))
 
     def test_deterministic(self):
         p = model.init(64, 8, 4, seed=0)
         x = toy_vec()
-        a, b = model.forward(p, x), model.forward(p, x)
+        a, b = model.forward(p, [x]), model.forward(p, [x])
         assert np.array_equal(a.phi, b.phi) and np.array_equal(a.logits, b.logits)
+
+    def test_batch_matches_dense_reference(self):
+        p = model.init(64, 8, 4, seed=0)
+        feats = [toy_vec(), toy_vec(pairs=((5, 2.0),)), toy_vec(pairs=((3, 0.5), (63, 1.5)))]
+        rec = model.forward(p, feats)
+        dense = np.zeros((len(feats), 64))
+        for row, x in zip(dense, feats):
+            row[x.indices] = x.values
+        phi = np.tanh(dense @ p.embed @ p.hidden_w + p.hidden_b)
+        assert rec.embedded.shape == (3, 8)
+        # the summation order differs from the reference's: a float64 rounding tolerance
+        assert np.allclose(rec.phi, phi, rtol=0, atol=1e-14)
+        assert np.allclose(rec.logits, phi @ p.out_w + p.out_b, rtol=0, atol=1e-14)
+        assert model.forward(p, []).logits.shape == (0, 2)
 
     def test_dim_mismatch(self):
         p = model.init(64, 8, 4, seed=0)
         with pytest.raises(ValueError):
-            model.forward(p, toy_vec(dim=128))
+            model.forward(p, [toy_vec(), toy_vec(dim=128)])
 
 
 class TestSoftmax:
@@ -91,42 +105,39 @@ class TestSoftmax:
             model.softmax(np.array([np.inf, 0.0]))
 
 
+def nll(logits, label):
+    """The NLL term nll_head gives one logits row with unit weight."""
+    terms, _ = model.nll_head(np.array([logits], dtype=float), [label], 1.0)
+    return float(terms[0])
+
+
 class TestNll:
     def test_symmetric(self):
-        assert model.nll_loss(np.array([0.5, 0.5]), 1) == pytest.approx(math.log(2))
+        assert nll([0.0, 0.0], 1) == pytest.approx(math.log(2))
 
     def test_confident_correct(self):
-        assert model.nll_loss(np.array([1 - 1e-12, 1e-12]), 0) == pytest.approx(0.0, abs=1e-11)
+        assert nll([30.0, 0.0], 0) == pytest.approx(0.0, abs=1e-11)
 
     def test_hand_value(self):
-        assert model.nll_loss(np.array([0.25, 0.75]), 0) == pytest.approx(math.log(4))
+        assert nll([0.0, math.log(3)], 0) == pytest.approx(math.log(4))
 
     def test_floor(self):
-        assert model.nll_loss(np.array([0.0, 1.0]), 0) == pytest.approx(-math.log(1e-12))
+        assert nll([-1000.0, 1000.0], 0) == pytest.approx(-math.log(1e-12))
 
     def test_bad_label(self):
         with pytest.raises(ValueError):
-            model.nll_loss(np.array([0.5, 0.5]), 2)
+            nll([0.0, 0.0], 2)
 
 
 def nll_batch_loss(params, feats, labels):
-    total = 0.0
-    for f, y in zip(feats, labels):
-        rec = model.forward(params, f)
-        total += model.nll_loss(model.softmax(rec.logits), y)
-    return total
+    terms, _ = model.nll_head(model.forward(params, feats).logits, labels, 1.0)
+    return float(terms.sum())
 
 
 def nll_batch_grads(params, feats, labels):
-    records, gls = [], []
-    for f, y in zip(feats, labels):
-        rec = model.forward(params, f)
-        probs = model.softmax(rec.logits)
-        g = probs.copy()
-        g[y] -= 1.0
-        records.append(rec)
-        gls.append(g)
-    return records, gls
+    rec = model.forward(params, feats)
+    _, grad_logits = model.nll_head(rec.logits, labels, 1.0)
+    return rec, grad_logits
 
 
 class TestBackward:
@@ -137,14 +148,13 @@ class TestBackward:
         self.labels = [0, 1, 1, 0]
 
     def test_zero_upstream_gives_zero_gradients(self):
-        records, _ = nll_batch_grads(self.params, self.feats, self.labels)
-        zeros = [np.zeros(2) for _ in records]
-        grads = model.backward(self.params, records, zeros)
+        rec, gls = nll_batch_grads(self.params, self.feats, self.labels)
+        grads = model.backward(self.params, rec, np.zeros_like(gls))
         assert all(np.all(g == 0.0) for g in grads.blocks())
 
     def test_finite_difference(self):
-        records, gls = nll_batch_grads(self.params, self.feats, self.labels)
-        grads = model.backward(self.params, records, gls)
+        rec, gls = nll_batch_grads(self.params, self.feats, self.labels)
+        grads = model.backward(self.params, rec, gls)
         eps = 1e-5
         for name in model.PARAM_BLOCKS:
             arr = getattr(self.params, name)
@@ -164,10 +174,11 @@ class TestBackward:
                 assert abs(fd - g[idx]) <= 1e-4 * max(abs(fd), 1e-6)
 
     def test_batch_gradient_is_sum_of_per_example(self):
-        records, gls = nll_batch_grads(self.params, self.feats, self.labels)
-        whole = model.backward(self.params, records, gls)
+        rec, gls = nll_batch_grads(self.params, self.feats, self.labels)
+        whole = model.backward(self.params, rec, gls)
         parts = [
-            model.backward(self.params, [r], [g]) for r, g in zip(records, gls)
+            model.backward(self.params, model.forward(self.params, [f]), g[None])
+            for f, g in zip(self.feats, gls)
         ]
         for name in model.PARAM_BLOCKS:
             summed = sum(getattr(p, name) for p in parts)
@@ -175,17 +186,12 @@ class TestBackward:
 
     def test_grad_phi_path(self):
         # upstream gradient at phi only; finite-difference the induced scalar
-        records, _ = nll_batch_grads(self.params, self.feats, self.labels)
-        rng = np.random.default_rng(0)
-        gps = [rng.normal(size=4) for _ in records]
-        zeros = [np.zeros(2) for _ in records]
-        grads = model.backward(self.params, records, zeros, gps)
+        rec, gls = nll_batch_grads(self.params, self.feats, self.labels)
+        gps = np.random.default_rng(0).normal(size=rec.phi.shape)
+        grads = model.backward(self.params, rec, np.zeros_like(gls), gps)
 
         def scalar(params):
-            return sum(
-                float(gp @ model.forward(params, f).phi)
-                for gp, f in zip(gps, self.feats)
-            )
+            return float(np.sum(gps * model.forward(params, self.feats).phi))
 
         eps = 1e-6
         arr = self.params.hidden_w
@@ -201,11 +207,13 @@ class TestBackward:
             assert abs(fd - g[idx]) <= 1e-4 * max(abs(fd), 1e-6)
 
     def test_shape_mismatch(self):
-        records, gls = nll_batch_grads(self.params, self.feats, self.labels)
+        rec, gls = nll_batch_grads(self.params, self.feats, self.labels)
         with pytest.raises(ValueError):
-            model.backward(self.params, records, gls[:-1])
+            model.backward(self.params, rec, gls[:-1])
         with pytest.raises(ValueError):
-            model.backward(self.params, records, [np.zeros(3) for _ in records])
+            model.backward(self.params, rec, np.zeros((len(gls), 3)))
+        with pytest.raises(ValueError):
+            model.backward(self.params, rec, gls, np.zeros((len(gls), 5)))
 
 
 class TestOptimizer:
@@ -229,7 +237,7 @@ class TestOptimizer:
                 opt.step(p, g)
             return p
 
-        assert run().allclose(run())
+        assert same_params(run(), run())
 
 
 class TestPretrain:
@@ -245,7 +253,7 @@ class TestPretrain:
         train, val, _ = data.split(source, (0.7, 0.1, 0.2), seed=0)
         params = model.init(256, 8, 8, seed=0)
         out = model.pretrain(params, train, val, model.TrainConfig(max_epochs=0, seed=0))
-        assert out.allclose(params)
+        assert same_params(out, params)
 
     def test_deterministic(self):
         source, _, _ = make_scenario(seed=12, n_source=120)
@@ -257,7 +265,7 @@ class TestPretrain:
             )
             for _ in range(2)
         ]
-        assert runs[0].allclose(runs[1])
+        assert same_params(runs[0], runs[1])
 
     def test_never_worse_than_any_epoch_prefix(self):
         # best-over-prefix is monotone in the number of epochs under a fixed seed
@@ -283,6 +291,16 @@ class TestPretrain:
         unlabeled = data.Dataset([data.Example("a b", None)], "source", "u")
         with pytest.raises(DatasetError):
             model.pretrain(params, unlabeled, val, model.TrainConfig())
+
+    def test_empty_validation_split_rejected(self):
+        # With no validation example no epoch could beat the input model, so
+        # pretraining would silently return it untrained.
+        source, _, _ = make_scenario(seed=11, n_source=9)
+        train, val, _ = data.split(source, (0.7, 0.1, 0.2), seed=0)
+        assert len(val) == 0
+        with pytest.raises(DatasetError, match="validation"):
+            model.pretrain(model.init(256, 8, 8, seed=0), train, val,
+                           model.TrainConfig(max_epochs=20))
 
 
 class TestCheckpoint:
