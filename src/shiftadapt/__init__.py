@@ -38,7 +38,6 @@ from .metrics import (
 )
 from .mmd import (
     EmbeddingBatch,
-    KernelConfig,
     contrastive_grad,
     contrastive_loss,
     median_bandwidth,
@@ -46,7 +45,6 @@ from .mmd import (
 from .model import (
     ForwardRecord,
     ModelParams,
-    OptimizerConfig,
     TrainConfig,
     backward,
     forward,

@@ -1,10 +1,10 @@
 """Class-aware sampling and the joint NLL + contrastive optimization loop.
 
-Each epoch re-runs pseudo labeling (optionally with a freshly fitted label
-correction) and then performs N iterations: draw a target batch from the
-filtered pseudo-labeled pool, build a source batch with exactly the same
-class histogram, and take one optimizer step on
-combined = nll + lambda * contrastive.
+Each epoch refits the label correction on the calibration set (the identity
+in the ablation arm), re-runs pseudo labeling and then performs N
+iterations: draw a target batch from the filtered pseudo-labeled pool, build
+a source batch with exactly the same class histogram, and take one Adam step
+on combined = nll + lambda * contrastive.
 """
 from __future__ import annotations
 
@@ -15,12 +15,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .correction import CorrectionParams, PseudoEntry, fit_correction, pseudo_label
+from .correction import CorrectionParams, fit_correction, pseudo_label
 from .data import Dataset, featurize_dataset
 from .errors import AdaptationError, ConfigError, DatasetError, EmptyPseudoLabelSetError
 from .metrics import balanced_accuracy, confusion
-from .mmd import EmbeddingBatch, KernelConfig, contrastive_grad, contrastive_loss, median_bandwidth
-from .model import ModelParams, Optimizer, OptimizerConfig, backward, forward, nll_head, softmax
+from .mmd import EmbeddingBatch, contrastive_grad, contrastive_loss, median_bandwidth
+from .model import ModelParams, Optimizer, backward, forward, nll_head, softmax
 
 
 @dataclass
@@ -31,10 +31,7 @@ class AdaptConfig:
     epochs: int = 3
     seed: int = 0
     iterations_per_epoch: Optional[int] = None  # None: ceil(|pool| / batch_size)
-    kernel: KernelConfig = field(default_factory=KernelConfig)
-    refresh_pseudo_labels: bool = True
     learning_rate: float = 1e-3
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     label_correction: bool = True  # False: identity correction (ablation arm)
 
     def __post_init__(self):
@@ -139,12 +136,6 @@ def class_aware_sample(
     return chosen, with_replacement
 
 
-def _resolve_gamma(kernel: KernelConfig, s_batch: EmbeddingBatch, t_batch: EmbeddingBatch) -> float:
-    if kernel.bandwidth_mode == "fixed":
-        return float(kernel.gamma)
-    return median_bandwidth(s_batch, t_batch)
-
-
 def run_adaptation(
     model: ModelParams,
     source: Dataset,
@@ -179,7 +170,7 @@ def run_adaptation(
 
     rng = np.random.default_rng(cfg.seed)
     work = model.copy()
-    opt = Optimizer(cfg.optimizer, cfg.learning_rate, work)
+    opt = Optimizer(cfg.learning_rate, work)
     best = model.copy()
     # Calibration logits of the current parameters: they give the epoch's
     # calibration BA and feed the next correction fit.
@@ -188,23 +179,18 @@ def run_adaptation(
     best_epoch = 0
 
     trace = AdaptTrace()
-    entries: list[PseudoEntry] = []
-    cp = CorrectionParams.identity()
     iterations_per_epoch = cfg.iterations_per_epoch
-    order = np.empty(0, dtype=np.int64)
-    pos = 0
     global_iter = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        if epoch == 1 or cfg.refresh_pseudo_labels:
-            if cfg.label_correction:
-                cp = fit_correction(calib_logits, calib_labels)
-            else:
-                cp = CorrectionParams.identity()
-            trace.correction_warnings.extend(cp.warnings)
-            entries = pseudo_label(cp, forward(work, tgt_feats).logits, cfg.tau)
-            if not entries:
-                raise EmptyPseudoLabelSetError(cfg.tau)
+        if cfg.label_correction:
+            cp = fit_correction(calib_logits, calib_labels)
+        else:
+            cp = CorrectionParams.identity()
+        trace.correction_warnings.extend(cp.warnings)
+        entries = pseudo_label(cp, forward(work, tgt_feats).logits, cfg.tau)
+        if not entries:
+            raise EmptyPseudoLabelSetError(cfg.tau)
         if iterations_per_epoch is None:
             iterations_per_epoch = math.ceil(len(entries) / cfg.batch_size)
         order = rng.permutation(len(entries))
@@ -241,10 +227,10 @@ def run_adaptation(
             # pairwise (np.sum) or compensated (sum() from 3.12), and never -0.0.
             nll_total = 0.0 + float(np.cumsum(terms)[-1])
 
-            # Contrastive head on the phi representations; gamma frozen per batch pair.
+            # Contrastive head on the phi representations; median-heuristic gamma per batch pair.
             s_emb = EmbeddingBatch(rec.phi[:n_s], np.asarray(s_labels))
             t_emb = EmbeddingBatch(rec.phi[n_s:], np.asarray(t_labels))
-            gamma = _resolve_gamma(cfg.kernel, s_emb, t_emb)
+            gamma = median_bandwidth(s_emb, t_emb)
             closs = contrastive_loss(s_emb, t_emb, gamma)
 
             grad_phi = None

@@ -47,7 +47,6 @@ def default_synth_dict(seed: int = 7) -> dict:
         "class_means_source": [[-1.0] * 8, [1.0] * 8],
         "class_means_target": [[-2.0] * 8, [0.0] * 8],
         "noise_scale": 1.0,
-        "vocab_mode": "numeric_tokens",
         "seed": seed,
     }
 
@@ -142,7 +141,7 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
 def _load_run(path, overrides) -> RunConfig:
     cfg = default_config()
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 user = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -358,7 +357,7 @@ def cmd_evaluate(checkpoint, dataset_path, correction_path=None, out_path=None) 
         raise DatasetError("evaluation dataset must be fully labeled")
     cp = None
     if correction_path is not None:
-        with open(correction_path, encoding="utf-8") as fh:
+        with open(correction_path, encoding="utf-8-sig") as fh:
             try:
                 obj = json.load(fh)
             except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError

@@ -26,6 +26,12 @@ class CorrectionParams:
     fit_nll_history: list[float] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        if self.bias_discarded and np.any(np.asarray(self.b) != 0):
+            raise ConfigError(
+                f"correction has bias_discarded true but a nonzero b {np.asarray(self.b).tolist()}"
+            )
+
     @classmethod
     def identity(cls) -> "CorrectionParams":
         return cls(w=np.ones(2), b=np.zeros(2))
@@ -80,13 +86,11 @@ class CorrectionFitConfig:
 
 
 def apply_correction(cp: CorrectionParams, logits: np.ndarray) -> np.ndarray:
-    """softmax(w * logits + b) over the last axis of (..., 2) logits, or
-    softmax(w * logits) when the bias was discarded."""
+    """softmax(w * logits + b) over the last axis of (..., 2) logits; a
+    discarded bias is stored as b = 0."""
     logits = np.asarray(logits, dtype=np.float64)
     if not (np.all(np.isfinite(cp.w)) and np.all(np.isfinite(cp.b))):
         raise ValueError("correction parameters must be finite")
-    if cp.bias_discarded:
-        return softmax(cp.w * logits)
     return softmax(cp.w * logits + cp.b)
 
 

@@ -89,7 +89,8 @@ def load_jsonl(path, domain_tag: str = "source", name: Optional[str] = None) -> 
     if name is None:
         name = path.stem
     examples: list[Example] = []
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark; line iteration accepts CRLF.
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 obj = json.loads(line)
@@ -244,7 +245,6 @@ class SynthConfig:
     class_means_source: tuple[np.ndarray, np.ndarray]
     class_means_target: tuple[np.ndarray, np.ndarray]
     noise_scale: float = 1.0
-    vocab_mode: str = "numeric_tokens"
     seed: int = 0
 
     def __post_init__(self):
@@ -272,8 +272,6 @@ class SynthConfig:
             raise ConfigError("all four class mean vectors must share one dimension")
         if self.noise_scale <= 0:
             raise ConfigError(f"noise_scale must be positive, got {self.noise_scale}")
-        if self.vocab_mode != "numeric_tokens":
-            raise ConfigError(f"unsupported vocab_mode {self.vocab_mode!r}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthConfig":

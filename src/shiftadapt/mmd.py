@@ -11,26 +11,12 @@ three kernel blocks, with one set of class-pair weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
-
 # (c1, c2, coefficient) triples defining the contrastive combination.
 _CONTRASTIVE_TERMS = ((0, 0, 1.0), (1, 1, 1.0), (0, 1, -0.5), (1, 0, -0.5))
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    bandwidth_mode: str = "median_heuristic"  # or "fixed"
-    gamma: Optional[float] = None  # required for "fixed"
-
-    def __post_init__(self):
-        if self.bandwidth_mode not in ("fixed", "median_heuristic"):
-            raise ConfigError(f"unknown bandwidth_mode {self.bandwidth_mode!r}")
-        if self.bandwidth_mode == "fixed" and (self.gamma is None or self.gamma <= 0):
-            raise ConfigError("fixed bandwidth_mode requires gamma > 0")
 
 
 @dataclass

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,21 +23,10 @@ CHECKPOINT_VERSION = 1
 # finite-difference sweeps all iterate in this order.
 PARAM_BLOCKS = ("embed", "hidden_w", "hidden_b", "out_w", "out_b")
 
-
-@dataclass
-class OptimizerConfig:
-    name: str = "adam"  # "adam" or "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.name not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.name!r}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("adam betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError("adam eps must be positive")
+# Adam's constants (Kingma and Ba), fixed for every stage.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -46,7 +35,6 @@ class TrainConfig:
     batch_size: int = 24
     max_epochs: int = 5
     seed: int = 0
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -194,31 +182,24 @@ def backward(
 
 
 class Optimizer:
-    """SGD or Adam over the fixed parameter blocks; updates are in-place."""
+    """Adam over the fixed parameter blocks; updates are in-place."""
 
-    def __init__(self, cfg: OptimizerConfig, learning_rate: float, params: ModelParams):
-        self.cfg = cfg
+    def __init__(self, learning_rate: float, params: ModelParams):
         self.lr = learning_rate
         self.t = 0
-        if cfg.name == "adam":
-            self.m = ModelParams.zeros_like(params)
-            self.v = ModelParams.zeros_like(params)
+        self.m = ModelParams.zeros_like(params)
+        self.v = ModelParams.zeros_like(params)
 
     def step(self, params: ModelParams, grads: ModelParams) -> None:
         self.t += 1
-        if self.cfg.name == "sgd":
-            for p, g in zip(params.blocks(), grads.blocks()):
-                p -= self.lr * g
-            return
-        b1, b2, eps = self.cfg.beta1, self.cfg.beta2, self.cfg.eps
-        corr1 = 1.0 - b1 ** self.t
-        corr2 = 1.0 - b2 ** self.t
+        corr1 = 1.0 - ADAM_BETA1 ** self.t
+        corr2 = 1.0 - ADAM_BETA2 ** self.t
         for p, g, m, v in zip(params.blocks(), grads.blocks(), self.m.blocks(), self.v.blocks()):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= self.lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
 
 
 def predict(params: ModelParams, feats: Sequence[SparseVec]) -> list[int]:
@@ -233,7 +214,7 @@ def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig
     validates worse than the input. Deterministic for a fixed seed.
     """
     if len(train) == 0:
-        raise ConfigError("pretrain requires a non-empty training set")
+        raise DatasetError("pretrain requires a non-empty training set")
     if not train.is_fully_labeled() or not val.is_fully_labeled():
         raise DatasetError("pretrain requires fully labeled train and val datasets")
     if len(val) == 0:
@@ -249,7 +230,7 @@ def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig
     best = params.copy()
     best_ba = val_ba(params)
     work = params.copy()
-    opt = Optimizer(cfg.optimizer, cfg.learning_rate, work)
+    opt = Optimizer(cfg.learning_rate, work)
     rng = np.random.default_rng(cfg.seed)
     n = len(train_feats)
     for _ in range(cfg.max_epochs):

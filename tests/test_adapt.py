@@ -9,7 +9,6 @@ from shiftadapt.errors import (
     DatasetError,
     EmptyPseudoLabelSetError,
 )
-from shiftadapt.mmd import KernelConfig
 from conftest import ba_on, logits_and_labels, same_params
 
 
@@ -119,13 +118,10 @@ class TestRunAdaptation:
         assert trace.epochs == trace2.epochs
         assert same_params(params, params2)
 
-    @pytest.mark.parametrize("refresh", [True, False])
-    def test_stage_one_runs_through_the_public_functions(
-        self, small_pretrained, monkeypatch, refresh
-    ):
+    def test_stage_one_runs_through_the_public_functions(self, small_pretrained, monkeypatch):
         """The adapter calls the sampler, pseudo-labeller and correction fit
         that the tests above check: one draw per iteration, one fit and one
-        pseudo-labelling per refresh."""
+        pseudo-labelling per epoch."""
         calls = dict.fromkeys(("class_aware_sample", "pseudo_label", "fit_correction"), 0)
         for owner, name in ((adapt, "class_aware_sample"), (correction, "pseudo_label"),
                             (correction, "fit_correction")):
@@ -138,15 +134,13 @@ class TestRunAdaptation:
             for module in (adapt, correction):  # every namespace that binds the function
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, spy)
-        cfg = AdaptConfig(seed=1, epochs=3, batch_size=16, iterations_per_epoch=2,
-                          refresh_pseudo_labels=refresh)
+        cfg = AdaptConfig(seed=1, epochs=3, batch_size=16, iterations_per_epoch=2)
         _, trace = run_adaptation(
             small_pretrained["params"], small_pretrained["train"],
             small_pretrained["pool"], small_pretrained["calib"], cfg,
         )
-        refreshes = cfg.epochs if refresh else 1
         assert calls == {"class_aware_sample": len(trace.iterations),
-                         "pseudo_label": refreshes, "fit_correction": refreshes}
+                         "pseudo_label": cfg.epochs, "fit_correction": cfg.epochs}
 
     def test_trace_shape_and_finiteness(self, adapted_run):
         cfg, _, trace = adapted_run
@@ -186,21 +180,18 @@ class TestRunAdaptation:
         after = ba_on(params, small_pretrained["calib"])
         assert after >= before - 1e-12
 
-    def test_lambda_zero_is_pure_nll_finetuning(self, small_pretrained):
-        base = dict(seed=9, epochs=1, batch_size=16, lam=0.0)
+    def test_lambda_zero_is_pure_nll_finetuning(self, small_pretrained, monkeypatch):
+        cfg = AdaptConfig(seed=9, epochs=1, batch_size=16, lam=0.0)
         runs = []
-        for kernel in (
-            KernelConfig(),
-            KernelConfig(bandwidth_mode="fixed", gamma=123.0),
-        ):
-            params, trace = run_adaptation(
+        for bandwidth in (adapt.median_bandwidth, lambda s, t: 123.0):
+            monkeypatch.setattr(adapt, "median_bandwidth", bandwidth)
+            runs.append(run_adaptation(
                 small_pretrained["params"],
                 small_pretrained["train"],
                 small_pretrained["pool"],
                 small_pretrained["calib"],
-                AdaptConfig(kernel=kernel, **base),
-            )
-            runs.append((params, trace))
+                cfg,
+            ))
         # the kernel cannot influence the trajectory when lambda == 0
         assert same_params(runs[0][0], runs[1][0])
         for rec in runs[0][1].iterations:
@@ -235,25 +226,6 @@ class TestRunAdaptation:
             cfg,
         )
         assert len(trace.iterations) == 6
-
-    def test_refresh_flag_freezes_stage_one(self, small_pretrained):
-        base = dict(seed=4, epochs=2, batch_size=16)
-        _, refreshed = run_adaptation(
-            small_pretrained["params"], small_pretrained["train"],
-            small_pretrained["pool"], small_pretrained["calib"],
-            AdaptConfig(refresh_pseudo_labels=True, **base),
-        )
-        _, frozen = run_adaptation(
-            small_pretrained["params"], small_pretrained["train"],
-            small_pretrained["pool"], small_pretrained["calib"],
-            AdaptConfig(refresh_pseudo_labels=False, **base),
-        )
-        e1, e2 = frozen.epochs
-        assert e1.n_pseudo == e2.n_pseudo
-        assert e1.correction_w == e2.correction_w
-        # refreshed runs refit stage 1 with the updated model
-        r1, r2 = refreshed.epochs
-        assert (r1.correction_w != r2.correction_w) or (r1.n_pseudo != r2.n_pseudo)
 
     def test_trace_csv_roundtrip(self, tmp_path, adapted_run):
         _, _, trace = adapted_run

@@ -21,7 +21,6 @@ def small_synth(seed=7):
         "class_means_source": [[-1.0] * 8, [1.0] * 8],
         "class_means_target": [[-2.0] * 8, [0.0] * 8],
         "noise_scale": 1.0,
-        "vocab_mode": "numeric_tokens",
         "seed": seed,
     }
 
@@ -101,21 +100,15 @@ GOLDEN_RESOLVED = {
             "n_source": 1200, "n_target": 1200, "source_prior": 0.5, "target_prior": 0.9,
             "class_means_source": [[-1.0] * 8, [1.0] * 8],
             "class_means_target": [[-2.0] * 8, [0.0] * 8],
-            "noise_scale": 1.0, "vocab_mode": "numeric_tokens", "seed": 7,
+            "noise_scale": 1.0, "seed": 7,
         },
         "calib_size": 200, "split_ratios": [0.7, 0.1, 0.2],
     },
     "model": {"checkpoint": None, "hash_dim": 4096, "d_embed": 32, "d_hidden": 32, "seed": 0},
-    "train": {
-        "learning_rate": 0.001, "batch_size": 24, "max_epochs": 5, "seed": 0,
-        "optimizer": {"name": "adam", "beta1": 0.9, "beta2": 0.999, "eps": 1e-08},
-    },
+    "train": {"learning_rate": 0.001, "batch_size": 24, "max_epochs": 5, "seed": 0},
     "adapt": {
         "batch_size": 24, "tau": 0.7, "lambda": 0.01, "epochs": 3, "seed": 0,
-        "iterations_per_epoch": None,
-        "kernel": {"bandwidth_mode": "median_heuristic", "gamma": None},
-        "refresh_pseudo_labels": True, "label_correction": True, "learning_rate": 0.001,
-        "optimizer": {"name": "adam", "beta1": 0.9, "beta2": 0.999, "eps": 1e-08},
+        "iterations_per_epoch": None, "learning_rate": 0.001, "label_correction": True,
     },
     "output": {"directory": "golden"},
 }
@@ -166,9 +159,14 @@ class TestConfigMachinery:
         assert cli.validate_config(cfg).adapt.lam == 0.02
 
     @pytest.mark.parametrize("override", [
+        # the first six name settings that are fixed, not keys: Adam's
+        # constants, the bandwidth, the stage-1 refit and the vocabulary
         'adapt.kernel.gamma="x"',
         "train.optimizer.beta1=true",
         "adapt.kernel.bogus=1",
+        'train.optimizer.name="sgd"',
+        "adapt.refresh_pseudo_labels=false",
+        'data.synth.vocab_mode="numeric_tokens"',
         "adapt.lam=0.02",
         'data.synth.n_source="abc"',
         "data.synth.class_means_source=5",
@@ -182,7 +180,8 @@ class TestConfigMachinery:
     @pytest.mark.parametrize("case", [
         "config_file", "dataset", "checkpoint", "evaluate_checkpoint", "single_class_source",
         "correction_not_json", "correction_without_b", "correction_b_not_numeric",
-        "correction_w_three_entries", "correction_w_nan", "checkpoint_not_npz",
+        "correction_w_three_entries", "correction_w_nan", "correction_discarded_with_bias",
+        "checkpoint_not_npz",
         "checkpoint_without_meta", "checkpoint_nan_weight", "adapt_checkpoint_nan_weight",
         "evaluate_empty_dataset", "pretrain_four_examples", "pretrain_empty_test_split",
     ])
@@ -212,9 +211,13 @@ class TestConfigMachinery:
             (tmp_path / name).write_text(text, encoding="utf-8")
             return str(tmp_path / name)
 
+        corrections = []
+
         def with_correction(text):
-            return evaluate + ["--checkpoint", str(pretrained),
-                               "--correction", text_file("correction.json", text)]
+            # One file per case: the whole table below is built before its case runs.
+            corrections.append(text)
+            return evaluate + ["--checkpoint", str(pretrained), "--correction",
+                               text_file(f"correction{len(corrections)}.json", text)]
 
         argv = {
             "config_file": ["synth", "--config", missing],
@@ -231,6 +234,8 @@ class TestConfigMachinery:
             "correction_b_not_numeric": with_correction('{"w": [1.0, 1.0], "b": ["x", 0.0]}'),
             "correction_w_three_entries": with_correction('{"w": [1, 1, 1], "b": [0, 0]}'),
             "correction_w_nan": with_correction('{"w": [NaN, 1.0], "b": [0.0, 0.0]}'),
+            "correction_discarded_with_bias": with_correction(
+                '{"w": [1, 1], "b": [0, 50], "bias_discarded": true}'),
             "checkpoint_not_npz": evaluate + ["--checkpoint", text_file("ck.npz", "not an npz")],
             "checkpoint_without_meta": evaluate + ["--checkpoint", str(no_meta)],
             "checkpoint_nan_weight": evaluate + ["--checkpoint", str(nan_weight)],
@@ -416,6 +421,28 @@ class TestEvaluate:
         assert main(base_args + ["--correction", str(identity)]) == 0
         corrected = json.loads(capsys.readouterr().out)
         assert plain == corrected
+
+    def test_bom_and_crlf_config_and_correction_files(self, pipeline_dir, tmp_path, capsys):
+        """A run config and a correction file saved with a UTF-8 byte-order
+        mark and CRLF line endings read the same as plain ones."""
+        def bom_crlf(name, obj):
+            path = tmp_path / name
+            text = json.dumps(obj, indent=2).replace("\n", "\r\n")
+            path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+            return str(path)
+
+        run_cfg = bom_crlf("config.json", {"adapt": {"tau": 0.75}})
+        assert cli.load_config(run_cfg, [])["adapt"]["tau"] == 0.75
+        base_args = [
+            "evaluate",
+            "--checkpoint", str(pipeline_dir["pre"] / "pretrained.npz"),
+            "--data", str(pipeline_dir["pre"] / "source_test.jsonl"),
+        ]
+        assert main(base_args) == 0
+        plain = json.loads(capsys.readouterr().out)
+        identity = bom_crlf("identity.json", {"w": [1.0, 1.0], "b": [0.0, 0.0]})
+        assert main(base_args + ["--correction", identity]) == 0
+        assert json.loads(capsys.readouterr().out) == plain
 
     def test_unlabeled_dataset_rejected(self, pipeline_dir):
         rc = main([

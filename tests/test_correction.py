@@ -60,10 +60,12 @@ class TestApplyCorrection:
         out = apply_correction(cp, np.zeros(2))
         assert out == pytest.approx([0.1, 0.9], abs=1e-15)
 
-    def test_bias_discarded_ignores_b(self):
-        cp = CorrectionParams(
-            w=np.array([2.0, 0.5]), b=np.array([5.0, -5.0]), bias_discarded=True
-        )
+    def test_bias_discarded_rejects_nonzero_b(self):
+        with pytest.raises(ConfigError, match="bias_discarded"):
+            CorrectionParams(w=np.array([2.0, 0.5]), b=np.array([5.0, -5.0]), bias_discarded=True)
+        with pytest.raises(ConfigError, match="bias_discarded"):
+            CorrectionParams.from_dict({"w": [1, 1], "b": [0, 50], "bias_discarded": True})
+        cp = CorrectionParams.from_dict({"w": [2.0, 0.5], "b": [0, -0.0], "bias_discarded": True})
         logits = np.array([1.0, -1.0])
         assert np.array_equal(apply_correction(cp, logits), model.softmax(cp.w * logits))
 

@@ -72,6 +72,12 @@ class TestLoadJsonl:
         ds = data.load_jsonl(p)
         assert [ex.label for ex in ds.examples] == [1, 0]
 
+    def test_utf8_bom_skipped(self, tmp_path):
+        p = tmp_path / "bom.jsonl"
+        p.write_bytes(b'\xef\xbb\xbf{"text":"a","label":1}\n{"text":"b","label":0}\n')
+        ds = data.load_jsonl(p)
+        assert ds.examples == [data.Example("a", 1), data.Example("b", 0)]
+
 
 class TestSplit:
     def make(self, n):
@@ -275,8 +281,6 @@ class TestGenSynthetic:
             synth_cfg(noise_scale=0.0)
         with pytest.raises(ConfigError):
             synth_cfg(class_means_target=([0.0], [1.0, 2.0]))
-        with pytest.raises(ConfigError):
-            synth_cfg(vocab_mode="words")
 
     def test_from_dict_rejects_unknown_keys(self):
         good = {

@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from shiftadapt.errors import ConfigError
 from shiftadapt.mmd import (
     EmbeddingBatch,
-    KernelConfig,
     contrastive_grad,
     contrastive_loss,
     median_bandwidth,
@@ -186,19 +184,6 @@ class TestContrastiveGrad:
         loss = contrastive_loss(S, T, 1.0)
         assert contrastive_grad(S, T, 1.0).skipped == loss.skipped
         assert type(loss.value) is float and math.isfinite(loss.value)
-
-
-class TestKernelConfig:
-    def test_fixed_requires_gamma(self):
-        with pytest.raises(ConfigError):
-            KernelConfig(bandwidth_mode="fixed")
-        with pytest.raises(ConfigError):
-            KernelConfig(bandwidth_mode="fixed", gamma=0.0)
-        KernelConfig(bandwidth_mode="fixed", gamma=2.0)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            KernelConfig(bandwidth_mode="mean")
 
 
 class TestEmbeddingBatch:

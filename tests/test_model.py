@@ -217,19 +217,29 @@ class TestBackward:
 
 
 class TestOptimizer:
-    def test_sgd_update_rule(self):
+    def test_adam_first_step(self):
+        """From zero moments, one step moves each entry by lr * g / (|g| + eps);
+        an entry whose gradient is zero stays bit-identical."""
         p = model.init(16, 4, 4, seed=0)
         before = p.copy()
         g = model.ModelParams.zeros_like(p)
         g.out_b[:] = [1.0, -2.0]
-        opt = model.Optimizer(model.OptimizerConfig(name="sgd"), 0.1, p)
-        opt.step(p, g)
-        assert np.allclose(p.out_b, before.out_b - 0.1 * np.array([1.0, -2.0]))
+        g.embed[3] = np.linspace(-1e-3, 1e-3, 4)
+        model.Optimizer(0.1, p).step(p, g)
+        for name in ("out_b", "embed"):
+            gb = getattr(g, name)
+            want = getattr(before, name) - 0.1 * gb / (np.abs(gb) + model.ADAM_EPS)
+            assert np.allclose(getattr(p, name), want, rtol=0, atol=1e-15)
+        untouched = g.embed == 0
+        assert untouched.sum() == 15 * 4
+        assert np.array_equal(p.embed[untouched], before.embed[untouched])
+        for name in ("hidden_w", "hidden_b", "out_w"):
+            assert np.array_equal(getattr(p, name), getattr(before, name))
 
     def test_adam_deterministic(self):
         def run():
             p = model.init(16, 4, 4, seed=0)
-            opt = model.Optimizer(model.OptimizerConfig(), 1e-3, p)
+            opt = model.Optimizer(1e-3, p)
             rng = np.random.default_rng(4)
             for _ in range(5):
                 g = model.ModelParams.zeros_like(p)
@@ -284,7 +294,7 @@ class TestPretrain:
         source, pool, _ = make_scenario(seed=11, n_source=60)
         train, val, _ = data.split(source, (0.7, 0.1, 0.2), seed=0)
         params = model.init(256, 8, 8, seed=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DatasetError):
             model.pretrain(
                 params, data.Dataset([], "source", "e"), val, model.TrainConfig()
             )
@@ -355,5 +365,3 @@ class TestTrainConfig:
             model.TrainConfig(learning_rate=0.0)
         with pytest.raises(ConfigError):
             model.TrainConfig(batch_size=1)
-        with pytest.raises(ConfigError):
-            model.OptimizerConfig(name="rmsprop")
