@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -163,16 +165,36 @@ class TestRunAdaptation:
             assert 0.0 <= e.pseudo_prior <= 1.0
             assert e.pseudo_accuracy is not None  # pool carries labels for diagnostics
             assert 0.0 <= e.calib_ba <= 1.0
+        e1, e2 = trace.epochs
+        assert e1.correction_w != e2.correction_w or e1.n_pseudo != e2.n_pseudo
+
+    @staticmethod
+    def assert_stage_one_of(record, params, small_pretrained, tau):
+        """record holds the correction fit and pseudo-labelling of params."""
+        cp = correction.fit_correction(*logits_and_labels(params, small_pretrained["calib"]))
+        pool_logits, _ = logits_and_labels(params, small_pretrained["pool"])
+        ps = correction.pseudo_label(cp, pool_logits, tau)
+        assert record.n_pseudo == len(ps)
+        assert record.correction_w == (float(cp.w[0]), float(cp.w[1]))
+        assert record.bias_discarded == cp.bias_discarded
 
     def test_first_epoch_matches_standalone_stage_one(self, small_pretrained, adapted_run):
         cfg, _, trace = adapted_run
-        pre = small_pretrained["params"]
-        cp = correction.fit_correction(*logits_and_labels(pre, small_pretrained["calib"]))
-        pool_logits, _ = logits_and_labels(pre, small_pretrained["pool"])
-        ps = correction.pseudo_label(cp, pool_logits, cfg.tau)
-        assert trace.epochs[0].n_pseudo == len(ps)
-        assert trace.epochs[0].correction_w == (float(cp.w[0]), float(cp.w[1]))
-        assert trace.epochs[0].bias_discarded == cp.bias_discarded
+        self.assert_stage_one_of(trace.epochs[0], small_pretrained["params"],
+                                 small_pretrained, cfg.tau)
+
+    def test_second_epoch_refits_stage_one_on_the_adapted_model(self, small_pretrained,
+                                                                 adapted_run):
+        cfg, _, trace = adapted_run
+        # The same seed for one epoch draws the same batches; its best epoch is
+        # epoch 1, so it returns the working model that epoch 2 starts from.
+        after_one, trace_one = run_adaptation(
+            small_pretrained["params"], small_pretrained["train"],
+            small_pretrained["pool"], small_pretrained["calib"],
+            dataclasses.replace(cfg, epochs=1),
+        )
+        assert trace_one.best_epoch == 1
+        self.assert_stage_one_of(trace.epochs[1], after_one, small_pretrained, cfg.tau)
 
     def test_returned_model_never_worse_on_calib(self, small_pretrained, adapted_run):
         _, params, _ = adapted_run

@@ -10,6 +10,7 @@ import pytest
 
 from shiftadapt import cli
 from shiftadapt.cli import main
+from shiftadapt.errors import ConfigError
 
 
 def small_synth(seed=7):
@@ -171,11 +172,24 @@ class TestConfigMachinery:
         'data.synth.n_source="abc"',
         "data.synth.class_means_source=5",
         "data.synth.seed=1.5",
+        # a boolean for a float, and a wrong inner type under Optional[int]
+        "adapt.learning_rate=true",
+        'adapt.iterations_per_epoch="x"',
     ])
     def test_bad_key_or_type_exits_2_with_one_line(self, tmp_path, capsys, override):
         cfg_path = write_config(tmp_path, tmp_path / "x")
         assert main(["synth", "--config", str(cfg_path), "--set", override]) == cli.EXIT_USAGE
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("override", [
+        "adapt.learning_rate=true",
+        'adapt.iterations_per_epoch="x"',
+        "data.synth.seed=1.5",
+    ])
+    def test_wrong_type_is_named_not_unknown(self, override):
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=f"config key {re.escape(key)} has invalid value"):
+            cli.validate_config(cli.load_config(None, [override]))
 
     @pytest.mark.parametrize("case", [
         "config_file", "dataset", "checkpoint", "evaluate_checkpoint", "single_class_source",
