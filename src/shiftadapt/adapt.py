@@ -20,7 +20,7 @@ from .data import Dataset, featurize_dataset
 from .errors import AdaptationError, ConfigError, DatasetError, EmptyPseudoLabelSetError
 from .metrics import balanced_accuracy, confusion
 from .mmd import EmbeddingBatch, contrastive_grad, contrastive_loss, median_bandwidth
-from .model import ModelParams, Optimizer, backward, forward, nll_head, softmax
+from .model import ModelParams, Optimizer, backward, compact, expand, forward, nll_head, softmax
 
 
 @dataclass
@@ -148,7 +148,9 @@ def run_adaptation(
     Target labels, when present, are ignored by training and only feed the
     pseudo-label accuracy diagnostic. Returns the snapshot with the best
     calibration balanced accuracy (the input model counts as epoch 0) plus
-    the full trace. Bit-reproducible for fixed inputs and seed.
+    the full trace. Bit-reproducible for fixed inputs and seed. Training runs
+    on the embedding rows source, target and calib read (`compact`);
+    the other rows come back unchanged.
     """
     if not source.is_fully_labeled():
         raise DatasetError("source dataset must be fully labeled")
@@ -157,9 +159,8 @@ def run_adaptation(
     if len(calib) == 0 or not calib.is_fully_labeled():
         raise DatasetError("calibration dataset must be non-empty and fully labeled")
 
-    src_feats = featurize_dataset(source, model.hash_dim)
-    tgt_feats = featurize_dataset(target, model.hash_dim)
-    calib_feats = featurize_dataset(calib, model.hash_dim)
+    work, rows, (src_feats, tgt_feats, calib_feats) = compact(
+        model, *(featurize_dataset(ds, model.hash_dim) for ds in (source, target, calib)))
     src_labels = np.asarray([ex.label for ex in source.examples])
     calib_labels = [ex.label for ex in calib.examples]
     tgt_truth = [ex.label for ex in target.examples] if target.is_fully_labeled() else None
@@ -169,9 +170,8 @@ def run_adaptation(
         return balanced_accuracy(confusion(preds, calib_labels))
 
     rng = np.random.default_rng(cfg.seed)
-    work = model.copy()
     opt = Optimizer(cfg.learning_rate, work)
-    best = model.copy()
+    best = work.copy()
     # Calibration logits of the current parameters: they give the epoch's
     # calibration BA and feed the next correction fit.
     calib_logits = forward(work, calib_feats).logits
@@ -275,4 +275,4 @@ def run_adaptation(
 
     trace.best_epoch = best_epoch
     trace.best_calib_ba = best_ba
-    return best, trace
+    return expand(model, best, rows), trace

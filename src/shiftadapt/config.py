@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import typing
 
 from .errors import ConfigError
@@ -37,7 +38,10 @@ def _check(tp, value, path: str):
         if isinstance(value, list):
             return [_check(args[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
     elif tp is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        # NaN and the infinities are rejected; an int is always finite (and
+        # math.isfinite would overflow on a huge one)
+        if (isinstance(value, int) and not isinstance(value, bool)
+                or isinstance(value, float) and math.isfinite(value)):
             return value
     elif tp in (int, str, bool, dict):
         if isinstance(value, tp) and not (tp is int and isinstance(value, bool)):

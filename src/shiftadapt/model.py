@@ -202,6 +202,42 @@ class Optimizer:
             p -= self.lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
 
 
+def compact(
+    params: ModelParams, *feat_lists: Sequence[SparseVec]
+) -> tuple[ModelParams, np.ndarray, list[list[SparseVec]]]:
+    """Fresh (k, d_embed) params over the k embedding rows that feat_lists
+    read, those rows in ascending order, and each list with its vectors
+    remapped onto them.
+
+    Training the compact params is exact: a row no input reads gets a zero
+    gradient, so Adam leaves it bit-identical, and every row that is read
+    sees the same values in the same order. `expand` scatters the result back.
+    """
+    vecs = [x for feats in feat_lists for x in feats]
+    if any(x.dim != params.hash_dim for x in vecs):
+        raise ValueError(f"every input must have dim {params.hash_dim}")
+    indices = np.concatenate([x.indices for x in vecs] + [np.empty(0, np.int64)])
+    read = np.zeros(params.hash_dim, dtype=bool)
+    read[indices] = True
+    rows = np.flatnonzero(read)
+    # Embed row r is table row cumsum(read)[r] - 1. The map keeps order, so
+    # every remapped vector stays sorted; a lookup is cheaper than a sort.
+    new_indices = (np.cumsum(read) - 1)[indices]
+    ends = np.cumsum([x.nnz for x in vecs], dtype=np.int64).tolist()
+    remapped = iter([SparseVec(new_indices[a:b], x.values, rows.size)
+                     for a, b, x in zip([0] + ends, ends, vecs)])
+    small = ModelParams(params.embed[rows], *(b.copy() for b in params.blocks()[1:]))
+    return small, rows, [[next(remapped) for _ in feats] for feats in feat_lists]
+
+
+def expand(full: ModelParams, small: ModelParams, rows: np.ndarray) -> ModelParams:
+    """A copy of full's embed with `rows` replaced by small.embed, and small's
+    other blocks; the inverse of `compact`. Neither input is modified."""
+    embed = full.embed.copy()
+    embed[rows] = small.embed
+    return ModelParams(embed, *small.blocks()[1:])
+
+
 def predict(params: ModelParams, feats: Sequence[SparseVec]) -> list[int]:
     """Argmax class per featurized example; ties resolve to class 0."""
     return np.argmax(softmax(forward(params, feats).logits), axis=1).tolist()
@@ -211,7 +247,9 @@ def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig
     """Mini-batch NLL training; returns the snapshot with best validation BA.
 
     The initial parameters count as the epoch-0 snapshot, so the result never
-    validates worse than the input. Deterministic for a fixed seed.
+    validates worse than the input. Deterministic for a fixed seed. Training
+    runs on the embedding rows train and val read (`compact`); the other
+    rows come back unchanged.
     """
     if len(train) == 0:
         raise DatasetError("pretrain requires a non-empty training set")
@@ -219,17 +257,16 @@ def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig
         raise DatasetError("pretrain requires fully labeled train and val datasets")
     if len(val) == 0:
         raise DatasetError("pretrain requires a non-empty validation split to pick the best epoch")
-    train_feats = featurize_dataset(train, params.hash_dim)
-    val_feats = featurize_dataset(val, params.hash_dim)
+    work, rows, (train_feats, val_feats) = compact(
+        params, featurize_dataset(train, params.hash_dim), featurize_dataset(val, params.hash_dim))
     train_labels = np.asarray([ex.label for ex in train.examples])
     val_labels = [ex.label for ex in val.examples]
 
     def val_ba(p):
         return balanced_accuracy(confusion(predict(p, val_feats), val_labels))
 
-    best = params.copy()
-    best_ba = val_ba(params)
-    work = params.copy()
+    best = work.copy()
+    best_ba = val_ba(work)
     opt = Optimizer(cfg.learning_rate, work)
     rng = np.random.default_rng(cfg.seed)
     n = len(train_feats)
@@ -244,7 +281,7 @@ def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig
         if ba > best_ba:
             best_ba = ba
             best = work.copy()
-    return best
+    return expand(params, best, rows)
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

@@ -175,6 +175,11 @@ class TestConfigMachinery:
         # a boolean for a float, and a wrong inner type under Optional[int]
         "adapt.learning_rate=true",
         'adapt.iterations_per_epoch="x"',
+        # non-finite floats, also inside a list[float]
+        "adapt.learning_rate=Infinity",
+        "adapt.lambda=NaN",
+        "train.learning_rate=NaN",
+        "data.split_ratios=[0.7, NaN, 0.2]",
     ])
     def test_bad_key_or_type_exits_2_with_one_line(self, tmp_path, capsys, override):
         cfg_path = write_config(tmp_path, tmp_path / "x")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shiftadapt import data, model
+from shiftadapt import adapt, data, model
 from shiftadapt.errors import ConfigError, DatasetError
 from conftest import ba_on, make_scenario, same_params
 
@@ -248,6 +248,85 @@ class TestOptimizer:
             return p
 
         assert same_params(run(), run())
+
+
+def unread_rows(params, *datasets):
+    """Mask of the embedding rows that no featurized example of datasets reads."""
+    mask = np.ones(params.hash_dim, dtype=bool)
+    for ds in datasets:
+        for x in data.featurize_dataset(ds, params.hash_dim):
+            mask[x.indices] = False
+    return mask
+
+
+class TestCompact:
+    def test_steps_on_compact_rows_match_full_steps_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        full = model.init(64, 4, 5, seed=1)
+        read = rng.choice(64, size=20, replace=False)
+        feats = []
+        for _ in range(12):
+            idx = np.sort(rng.choice(read, size=rng.integers(0, 6), replace=False))
+            feats.append(data.SparseVec(idx.astype(np.int64), rng.normal(size=idx.size), 64))
+        small, rows, (small_feats,) = model.compact(full, feats)
+        assert np.array_equal(rows, np.unique(np.concatenate([x.indices for x in feats])))
+        for x, y in zip(feats, small_feats):
+            assert np.array_equal(rows[y.indices], x.indices) and y.values is x.values
+            assert y.dim == rows.size
+        start = full.copy()
+        opt_full, opt_small = model.Optimizer(0.05, full), model.Optimizer(0.05, small)
+        for _ in range(6):
+            batch = rng.choice(len(feats), size=5, replace=False)
+            gl, gp = rng.normal(size=(5, 2)), rng.normal(size=(5, 5))
+            for params, opt, fs in ((full, opt_full, feats), (small, opt_small, small_feats)):
+                rec = model.forward(params, [fs[i] for i in batch])
+                opt.step(params, model.backward(params, rec, gl, gp))
+        out = model.expand(start, small, rows)
+        for got, want in zip(out.blocks(), full.blocks()):
+            assert np.array_equal(got, want)
+        unread = np.setdiff1d(np.arange(64), rows)
+        assert np.array_equal(out.embed[unread], start.embed[unread])
+        assert not np.array_equal(out.embed[rows], start.embed[rows])
+
+    def test_compact_and_expand_leave_their_inputs_alone(self):
+        full = model.init(64, 4, 5, seed=1)
+        before = full.copy()
+        small, rows, _ = model.compact(full, [toy_vec()], [toy_vec(pairs=((40, 1.0),))])
+        assert rows.tolist() == [3, 17, 40]
+        for block in small.blocks():
+            block += 1.0
+        out = model.expand(full, small, rows)
+        assert same_params(full, before)
+        assert np.array_equal(out.embed[rows], before.embed[rows] + 1.0)
+        with pytest.raises(ValueError):
+            model.compact(full, [toy_vec(dim=128)])
+
+    def test_pretrain_returns_unread_rows_unchanged(self):
+        source, _, _ = make_scenario(seed=12, n_source=120)
+        train, val, _ = data.split(source, (0.7, 0.1, 0.2), seed=0)
+        params = model.init(4096, 8, 8, seed=1)
+        before = params.copy()
+        out = model.pretrain(params, train, val, model.TrainConfig(max_epochs=2, seed=5))
+        unread = unread_rows(params, train, val)
+        assert 0 < unread.sum() < params.hash_dim
+        assert np.array_equal(out.embed[unread], params.embed[unread])
+        assert not np.array_equal(out.embed[~unread], params.embed[~unread])
+        assert same_params(params, before)
+
+    @pytest.mark.parametrize("learning_rate", [1e-3, 1e-12])
+    def test_run_adaptation_returns_unread_rows_unchanged(self, small_pretrained, learning_rate):
+        p = small_pretrained
+        params, before = p["params"], p["params"].copy()
+        cfg = adapt.AdaptConfig(epochs=2, seed=0, learning_rate=learning_rate)
+        out, trace = adapt.run_adaptation(params, p["train"], p["pool"], p["calib"], cfg)
+        unread = unread_rows(params, p["train"], p["pool"], p["calib"])
+        assert unread.sum() > 0
+        assert np.array_equal(out.embed[unread], params.embed[unread])
+        assert same_params(params, before)
+        if learning_rate == 1e-12:  # no prediction moves, so no epoch beats the input
+            assert trace.best_epoch == 0 and same_params(out, params)
+        else:
+            assert trace.best_epoch > 0 and not same_params(out, params)
 
 
 class TestPretrain:
