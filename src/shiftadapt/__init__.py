@@ -4,7 +4,6 @@ then class-aware kernel-discrepancy alignment of a source-pretrained model."""
 
 from .adapt import AdaptConfig, AdaptTrace, class_aware_sample, run_adaptation
 from .correction import (
-    CorrectionFitConfig,
     CorrectionParams,
     apply_correction,
     fit_correction,

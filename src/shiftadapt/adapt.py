@@ -67,9 +67,7 @@ class EpochRecord:
     pseudo_prior: float
     pseudo_accuracy: Optional[float]  # against target labels when available
     calib_ba: float
-    correction_w: tuple[float, float]
-    correction_b: tuple[float, float]
-    bias_discarded: bool
+    correction: dict  # CorrectionParams.to_dict() of the epoch's stage-1 fit
 
 
 @dataclass
@@ -264,9 +262,7 @@ def run_adaptation(
             pseudo_prior=sum(pseudo_labels) / len(pseudo_labels),
             pseudo_accuracy=pseudo_accuracy,
             calib_ba=ba,
-            correction_w=(float(cp.w[0]), float(cp.w[1])),
-            correction_b=(float(cp.b[0]), float(cp.b[1])),
-            bias_discarded=cp.bias_discarded,
+            correction=cp.to_dict(),
         ))
         if ba > best_ba:
             best_ba = ba

@@ -212,12 +212,8 @@ def cmd_synth(run: RunConfig) -> int:
     perm = rng.permutation(synth_cfg.n_target)
     calib_idx = sorted(int(i) for i in perm[:calib_size])
     pool_idx = sorted(int(i) for i in perm[calib_size:])
-    calib = data_mod.Dataset(
-        [target.examples[i] for i in calib_idx], domain_tag="target", name="synthetic-calib"
-    )
-    pool = data_mod.Dataset(
-        [target.examples[i] for i in pool_idx], domain_tag="target", name="synthetic-target"
-    )
+    calib = data_mod.Dataset([target.examples[i] for i in calib_idx], name="synthetic-calib")
+    pool = data_mod.Dataset([target.examples[i] for i in pool_idx], name="synthetic-target")
 
     data_mod.write_jsonl(source, out_dir / "source.jsonl")
     data_mod.write_jsonl(pool, out_dir / "target.jsonl", drop_labels=True)
@@ -240,7 +236,7 @@ def cmd_synth(run: RunConfig) -> int:
 
 
 def _load_source_splits(run: RunConfig):
-    source = data_mod.load_jsonl(_require_path(run, "source"), domain_tag="source")
+    source = data_mod.load_jsonl(_require_path(run, "source"))
     if not source.is_fully_labeled():
         raise DatasetError("source dataset must be fully labeled")
     ratios = tuple(run.data.split_ratios)
@@ -278,8 +274,8 @@ def cmd_adapt(run: RunConfig) -> int:
     """Run stage 1 + stage 2 and write the adapted checkpoint, trace, and summary."""
     out_dir = _output_dir(run)
     train, val, _test = _load_source_splits(run)
-    target = data_mod.load_jsonl(_require_path(run, "target"), domain_tag="target")
-    calib = data_mod.load_jsonl(_require_path(run, "calib"), domain_tag="target")
+    target = data_mod.load_jsonl(_require_path(run, "target"))
+    calib = data_mod.load_jsonl(_require_path(run, "calib"))
     if not calib.is_fully_labeled():
         raise DatasetError("calibration dataset must be fully labeled")
 
@@ -289,7 +285,7 @@ def cmd_adapt(run: RunConfig) -> int:
         pretrained = _pretrain(run, train, val)
 
     if run.data.target_labels is not None:
-        eval_set = data_mod.load_jsonl(run.data.target_labels, domain_tag="target")
+        eval_set = data_mod.load_jsonl(run.data.target_labels)
         if not eval_set.is_fully_labeled():
             raise DatasetError("target_labels dataset must be fully labeled")
         eval_name = "target_labels"
@@ -319,12 +315,8 @@ def cmd_adapt(run: RunConfig) -> int:
         "lambda": run.adapt.lam,
         "epochs": run.adapt.epochs,
         "label_correction": run.adapt.label_correction,
-        "correction": {
-            "w": list(last_epoch.correction_w),
-            "b": list(last_epoch.correction_b),
-            "bias_discarded": last_epoch.bias_discarded,
-        },
-        "bias_discarded": last_epoch.bias_discarded,
+        "correction": last_epoch.correction,
+        "bias_discarded": last_epoch.correction["bias_discarded"],
         "n_pseudo_final": last_epoch.n_pseudo,
         "pseudo_prior_final": last_epoch.pseudo_prior,
         "replacement_batches": trace.replacement_batches(),
@@ -335,7 +327,7 @@ def cmd_adapt(run: RunConfig) -> int:
                 "pseudo_prior": e.pseudo_prior,
                 "pseudo_accuracy": e.pseudo_accuracy,
                 "calib_ba": e.calib_ba,
-                "bias_discarded": e.bias_discarded,
+                "bias_discarded": e.correction["bias_discarded"],
             }
             for e in trace.epochs
         ],

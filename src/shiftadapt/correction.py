@@ -67,22 +67,16 @@ def _is_finite_number(v) -> bool:
     return number and abs(v) <= sys.float_info.max
 
 
+FIT_MAX_ITERS = 500
+FIT_TOL = 1e-8  # stop when the NLL improvement falls below this
+B_MAX = 10.0  # discard the bias when any |b_j| exceeds this
+
+
 @dataclass(frozen=True)
 class PseudoEntry:
     index: int
     label: int
     confidence: float
-
-
-@dataclass
-class CorrectionFitConfig:
-    max_iters: int = 500
-    tol: float = 1e-8  # stop when the NLL improvement falls below this
-    b_max: float = 10.0  # discard the bias when any |b_j| exceeds this
-
-    def __post_init__(self):
-        if self.max_iters < 1 or self.tol <= 0 or self.b_max <= 0:
-            raise ConfigError("invalid correction fit configuration")
 
 
 def apply_correction(cp: CorrectionParams, logits: np.ndarray) -> np.ndarray:
@@ -111,38 +105,43 @@ def _corrected_nll_grad(logits, labels, w, b):
     return (p * logits).sum(axis=0), p.sum(axis=0)
 
 
-def _descend(logits, labels, fit_bias: bool, cfg: CorrectionFitConfig):
-    """Full-batch gradient descent with Armijo backtracking from the identity."""
+def _descend(logits, labels, fit_bias: bool):
+    """Full-batch gradient descent with Armijo backtracking from the identity.
+
+    Huge logits overflow the gradient norm or a trial NLL to inf or NaN; such a
+    trial fails the Armijo comparison, so those numpy warnings are silenced.
+    """
     w = np.ones(2)
     b = np.zeros(2)
     nll = _corrected_mean_nll(logits, labels, w, b)
     history = [nll]
     step = 1.0
-    for _ in range(cfg.max_iters):
-        gw, gb = _corrected_nll_grad(logits, labels, w, b)
-        if not fit_bias:
-            gb = np.zeros(2)
-        gnorm2 = float(gw @ gw + gb @ gb)
-        if gnorm2 < 1e-24:
-            break
-        t = step
-        accepted = False
-        while t > 1e-20:
-            w_new = w - t * gw
-            b_new = b - t * gb
-            nll_new = _corrected_mean_nll(logits, labels, w_new, b_new)
-            if nll_new <= nll - 1e-4 * t * gnorm2:
-                accepted = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(FIT_MAX_ITERS):
+            gw, gb = _corrected_nll_grad(logits, labels, w, b)
+            if not fit_bias:
+                gb = np.zeros(2)
+            gnorm2 = float(gw @ gw + gb @ gb)
+            if gnorm2 < 1e-24:
                 break
-            t *= 0.5
-        if not accepted:
-            break
-        improvement = nll - nll_new
-        w, b, nll = w_new, b_new, nll_new
-        history.append(nll)
-        step = t * 2.0
-        if improvement < cfg.tol:
-            break
+            t = step
+            accepted = False
+            while t > 1e-20:
+                w_new = w - t * gw
+                b_new = b - t * gb
+                nll_new = _corrected_mean_nll(logits, labels, w_new, b_new)
+                if nll_new <= nll - 1e-4 * t * gnorm2:
+                    accepted = True
+                    break
+                t *= 0.5
+            if not accepted:
+                break
+            improvement = nll - nll_new
+            w, b, nll = w_new, b_new, nll_new
+            history.append(nll)
+            step = t * 2.0
+            if improvement < FIT_TOL:
+                break
     return w, b, history
 
 
@@ -153,19 +152,14 @@ def _logit_matrix(logits) -> np.ndarray:
     return logits
 
 
-def fit_correction(
-    logits: np.ndarray,
-    labels: Sequence[int],
-    fit_cfg: Optional[CorrectionFitConfig] = None,
-) -> CorrectionParams:
+def fit_correction(logits: np.ndarray, labels: Sequence[int]) -> CorrectionParams:
     """Fit (w, b) on the frozen model's (n, 2) logits for a labeled target calibration set.
 
     Initialization is the identity correction, so the fitted NLL never exceeds
     the uncorrected NLL. The bias is refitted at zero (bias_discarded) when
-    fitting pushes any |b_j| past b_max or fails to improve; if even that
-    regresses, the identity correction is returned with a warning.
+    fitting pushes any |b_j| past B_MAX; if the fit regresses past the
+    identity, the identity correction is returned with a warning.
     """
-    cfg = fit_cfg or CorrectionFitConfig()
     logits = _logit_matrix(logits)
     if len(logits) == 0:
         raise DatasetError("calibration set must be non-empty")
@@ -178,10 +172,10 @@ def fit_correction(
     if len(set(labels.tolist())) == 1:
         warnings.append(f"calibration set contains a single class ({int(labels[0])})")
 
-    w, b, history = _descend(logits, labels, fit_bias=True, cfg=cfg)
+    w, b, history = _descend(logits, labels, fit_bias=True)
     bias_discarded = False
-    if np.max(np.abs(b)) > cfg.b_max or history[-1] > history[0]:
-        w, b, history = _descend(logits, labels, fit_bias=False, cfg=cfg)
+    if np.max(np.abs(b)) > B_MAX:
+        w, b, history = _descend(logits, labels, fit_bias=False)
         bias_discarded = True
         b = np.zeros(2)
 

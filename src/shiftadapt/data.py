@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -12,8 +12,6 @@ import numpy as np
 
 from .config import build
 from .errors import ConfigError, DatasetError
-
-DEFAULT_HASH_DIM = 2 ** 18
 
 HASHTAG_TOKEN = "<hashtag>"
 MENTION_TOKEN = "<mention>"
@@ -36,7 +34,7 @@ class Example:
 @dataclass
 class Dataset:
     examples: list[Example]
-    domain_tag: str  # "source" or "target"
+    _: KW_ONLY
     name: str = ""
     warning: Optional[str] = None
 
@@ -78,7 +76,7 @@ def _validate_label(raw, path: str, lineno: int) -> Optional[int]:
     raise DatasetError(f"{path}:{lineno}: label must be 0, 1 or null, got {raw!r}")
 
 
-def load_jsonl(path, domain_tag: str = "source", name: Optional[str] = None) -> Dataset:
+def load_jsonl(path) -> Dataset:
     """Load a JSONL dataset of {"text": str, "label": 0|1|null} objects.
 
     Line order is preserved. Malformed lines and invalid labels raise
@@ -86,8 +84,6 @@ def load_jsonl(path, domain_tag: str = "source", name: Optional[str] = None) -> 
     after preprocessing is rejected at load time.
     """
     path = Path(path)
-    if name is None:
-        name = path.stem
     examples: list[Example] = []
     # utf-8-sig drops a leading byte-order mark; line iteration accepts CRLF.
     with open(path, encoding="utf-8-sig") as fh:
@@ -108,7 +104,7 @@ def load_jsonl(path, domain_tag: str = "source", name: Optional[str] = None) -> 
                     f"{path}:{lineno}: text is empty after preprocessing"
                 )
             examples.append(Example(text, _validate_label(obj["label"], str(path), lineno)))
-    return Dataset(examples, domain_tag=domain_tag, name=name)
+    return Dataset(examples, name=path.stem)
 
 
 def write_jsonl(ds: Dataset, path, drop_labels: bool = False) -> None:
@@ -141,7 +137,6 @@ def split(ds: Dataset, ratios: tuple[float, float, float], seed: int):
     def take(idx, suffix):
         return Dataset(
             [ds.examples[i] for i in idx],
-            domain_tag=ds.domain_tag,
             name=f"{ds.name}/{suffix}" if ds.name else suffix,
         )
 
@@ -199,7 +194,7 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-def featurize(tokens: Sequence[str], dim: int = DEFAULT_HASH_DIM) -> SparseVec:
+def featurize(tokens: Sequence[str], dim: int) -> SparseVec:
     """Hash unigrams and adjacent bigrams into a sparse vector of width dim.
 
     Term counts are scaled by 1/sqrt(len(tokens)). dim must be a power of two
@@ -290,7 +285,7 @@ def _encode_vector(vec: np.ndarray) -> str:
     return " ".join(tokens)
 
 
-def _gen_domain(rng, n, prior, means, noise_scale, domain_tag, name, warning):
+def _gen_domain(rng, n, prior, means, noise_scale, name, warning):
     labels = (rng.random(n) < prior).astype(np.int64)
     dim = means[0].size
     noise = rng.standard_normal((n, dim))
@@ -298,7 +293,7 @@ def _gen_domain(rng, n, prior, means, noise_scale, domain_tag, name, warning):
     for i in range(n):
         vec = means[labels[i]] + noise_scale * noise[i]
         examples.append(Example(_encode_vector(vec), int(labels[i])))
-    return Dataset(examples, domain_tag=domain_tag, name=name, warning=warning)
+    return Dataset(examples, name=name, warning=warning)
 
 
 def gen_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dataset]:
@@ -317,12 +312,12 @@ def gen_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dataset]:
 
     source = _gen_domain(
         rng, cfg.n_source, cfg.source_prior, cfg.class_means_source,
-        cfg.noise_scale, "source", "synthetic-source",
+        cfg.noise_scale, "synthetic-source",
         degenerate(cfg.class_means_source, "source"),
     )
     target = _gen_domain(
         rng, cfg.n_target, cfg.target_prior, cfg.class_means_target,
-        cfg.noise_scale, "target", "synthetic-target",
+        cfg.noise_scale, "synthetic-target",
         degenerate(cfg.class_means_target, "target"),
     )
     return source, target

@@ -27,8 +27,8 @@ def make_scenario(
         seed=seed,
     )
     source, target = data.gen_synthetic(cfg)
-    calib = data.Dataset(target.examples[:n_calib], "target", "calib")
-    pool = data.Dataset(target.examples[n_calib:], "target", "pool")
+    calib = data.Dataset(target.examples[:n_calib], name="calib")
+    pool = data.Dataset(target.examples[n_calib:], name="pool")
     return source, pool, calib
 
 

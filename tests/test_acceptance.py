@@ -26,8 +26,8 @@ def report(num, passed, detail):
 def default_scenario(seed):
     cfg = data.SynthConfig.from_dict(cli.default_synth_dict(seed=seed))
     source, target = data.gen_synthetic(cfg)
-    calib = data.Dataset(target.examples[:200], "target", "calib")
-    pool = data.Dataset(target.examples[200:], "target", "pool")
+    calib = data.Dataset(target.examples[:200], name="calib")
+    pool = data.Dataset(target.examples[200:], name="pool")
     return source, pool, calib
 
 
@@ -246,7 +246,7 @@ def test_criterion_6_class_aware_sampler_property():
         examples = []
         for cls, n in counts.items():
             examples.extend(data.Example(f"f0p{i} f1p{cls}", cls) for i in range(n))
-        source = data.Dataset(examples, "source", "s")
+        source = data.Dataset(examples, name="s")
         source_labels = [ex.label for ex in source.examples]
         for _ in range(334):
             size = int(rng.integers(1, 25))

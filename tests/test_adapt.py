@@ -18,7 +18,7 @@ def labeled_source(counts={0: 30, 1: 30}):
     examples = []
     for cls, n in counts.items():
         examples.extend(data.Example(f"f0p{i} f1p{cls}", cls) for i in range(n))
-    return data.Dataset(examples, "source", "s")
+    return data.Dataset(examples, name="s")
 
 
 def sample(source, target_labels, rng):
@@ -72,7 +72,7 @@ class TestClassAwareSample:
             assert got == want
 
     def test_requires_labeled_source(self):
-        ds = data.Dataset([data.Example("a b", None)], "source", "s")
+        ds = data.Dataset([data.Example("a b", None)], name="s")
         with pytest.raises(DatasetError):
             sample(ds, [0], np.random.default_rng(0))
 
@@ -166,7 +166,7 @@ class TestRunAdaptation:
             assert e.pseudo_accuracy is not None  # pool carries labels for diagnostics
             assert 0.0 <= e.calib_ba <= 1.0
         e1, e2 = trace.epochs
-        assert e1.correction_w != e2.correction_w or e1.n_pseudo != e2.n_pseudo
+        assert e1.correction["w"] != e2.correction["w"] or e1.n_pseudo != e2.n_pseudo
 
     @staticmethod
     def assert_stage_one_of(record, params, small_pretrained, tau):
@@ -175,8 +175,7 @@ class TestRunAdaptation:
         pool_logits, _ = logits_and_labels(params, small_pretrained["pool"])
         ps = correction.pseudo_label(cp, pool_logits, tau)
         assert record.n_pseudo == len(ps)
-        assert record.correction_w == (float(cp.w[0]), float(cp.w[1]))
-        assert record.bias_discarded == cp.bias_discarded
+        assert record.correction == cp.to_dict()
 
     def test_first_epoch_matches_standalone_stage_one(self, small_pretrained, adapted_run):
         cfg, _, trace = adapted_run
@@ -260,7 +259,7 @@ class TestRunAdaptation:
         assert float(first[1]) == trace.iterations[0].nll
 
     def test_unlabeled_source_rejected(self, small_pretrained):
-        unlabeled = data.Dataset([data.Example("a b", None)], "source", "u")
+        unlabeled = data.Dataset([data.Example("a b", None)], name="u")
         with pytest.raises(DatasetError):
             run_adaptation(
                 small_pretrained["params"], unlabeled,
@@ -268,7 +267,7 @@ class TestRunAdaptation:
             )
 
     def test_unlabeled_calib_rejected(self, small_pretrained):
-        unlabeled = data.Dataset([data.Example("a b", None)], "target", "u")
+        unlabeled = data.Dataset([data.Example("a b", None)], name="u")
         with pytest.raises(DatasetError):
             run_adaptation(
                 small_pretrained["params"], small_pretrained["train"],
@@ -277,7 +276,7 @@ class TestRunAdaptation:
             )
 
     def test_pool_smaller_than_batch_wraps(self, small_pretrained):
-        tiny = data.Dataset(small_pretrained["pool"].examples[:6], "target", "tiny")
+        tiny = data.Dataset(small_pretrained["pool"].examples[:6], name="tiny")
         cfg = AdaptConfig(seed=0, epochs=2, batch_size=16, tau=0.55)
         params, trace = run_adaptation(
             small_pretrained["params"], small_pretrained["train"],
@@ -296,7 +295,7 @@ class TestRunAdaptation:
         )
         one_idx = [e.index for e in ps if e.label == 1][:12]
         assert len(one_idx) >= 8
-        pool = data.Dataset([full_pool.examples[i] for i in one_idx], "target", "ones")
+        pool = data.Dataset([full_pool.examples[i] for i in one_idx], name="ones")
         cfg = AdaptConfig(seed=0, epochs=1, batch_size=8, tau=0.55, label_correction=False)
         params, trace = run_adaptation(
             small_pretrained["params"], small_pretrained["train"],

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftadapt import cli
+from shiftadapt import cli, correction, data, metrics, model
 from shiftadapt.cli import main
 from shiftadapt.errors import ConfigError
 
@@ -426,6 +426,26 @@ class TestEvaluate:
             assert main(["evaluate", "--checkpoint", str(checkpoint),
                          "--data", str(pipeline_dir["data"] / "target_labels.jsonl")]) == 0
             assert json.loads(capsys.readouterr().out)["ba"] == summary[key], key
+
+    def test_accepts_the_adapt_summary_correction(self, pipeline_dir, tmp_path, capsys):
+        """The summary's correction block is the file format evaluate --correction reads."""
+        out = tmp_path / "ad"
+        assert main(TestAdapt().adapt_args(pipeline_dir, out)) == 0
+        block = json.loads((out / "summary.json").read_text())["correction"]
+        correction_file = tmp_path / "correction.json"
+        correction_file.write_text(json.dumps(block))
+        labeled = pipeline_dir["data"] / "target_labels.jsonl"
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(out / "adapted.npz"), "--data", str(labeled),
+                     "--correction", str(correction_file)]) == 0
+        reported = json.loads(capsys.readouterr().out)["ba"]
+
+        params = model.load_checkpoint(out / "adapted.npz")
+        dataset = data.load_jsonl(labeled)
+        preds = correction.predict_labels(params, data.featurize_dataset(dataset, params.hash_dim),
+                                          correction.CorrectionParams.from_dict(block))
+        truth = [ex.label for ex in dataset.examples]
+        assert reported == metrics.balanced_accuracy(metrics.confusion(preds, truth))
 
     def test_identity_correction_changes_nothing(self, pipeline_dir, tmp_path, capsys):
         identity = tmp_path / "identity.json"

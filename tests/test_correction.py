@@ -6,7 +6,6 @@ import pytest
 
 from shiftadapt import correction, data, model
 from shiftadapt.correction import (
-    CorrectionFitConfig,
     CorrectionParams,
     apply_correction,
     fit_correction,
@@ -36,9 +35,7 @@ def grid_best(logits, labels, w_axis=W_AXIS, b_axis=B_AXIS):
 
 
 def dataset_from_texts(texts, labels):
-    return data.Dataset(
-        [data.Example(t, y) for t, y in zip(texts, labels)], "target", "calib"
-    )
+    return data.Dataset([data.Example(t, y) for t, y in zip(texts, labels)], name="calib")
 
 
 class TestApplyCorrection:
@@ -108,13 +105,9 @@ def calibrated_fixture():
     return np.array(logits), np.array(labels)
 
 
-def fit_on_logits(logits, labels, fit_cfg=None):
+def fit_on_logits(logits, labels):
     """Drive the fit through the same internals fit_correction uses."""
-    cfg = fit_cfg or CorrectionFitConfig()
-    w, b, history = correction._descend(
-        np.asarray(logits, dtype=np.float64), np.asarray(labels), True, cfg
-    )
-    return w, b, history
+    return correction._descend(np.asarray(logits, dtype=np.float64), np.asarray(labels), True)
 
 
 class TestFitCorrection:
@@ -144,13 +137,24 @@ class TestFitCorrection:
         # the lattice optimum also shifts the bias toward class 1
         assert best_point[3] > best_point[2]
 
-    def test_b_max_triggers_discard(self):
+    def test_b_max_triggers_discard(self, monkeypatch):
         scenario = make_scenario(seed=21, n_source=80, n_target=80, n_calib=40)
         _, _, calib = scenario
         params = model.init(256, 8, 8, seed=0)
-        cp = fit_correction(*logits_and_labels(params, calib), CorrectionFitConfig(b_max=1e-6))
+        monkeypatch.setattr(correction, "B_MAX", 1e-6)
+        cp = fit_correction(*logits_and_labels(params, calib))
         assert cp.bias_discarded
         assert np.array_equal(cp.b, np.zeros(2))
+
+    def test_huge_logits_fit_without_numpy_warnings(self):
+        # gw @ gw overflows and trial NLLs turn NaN; the suite turns any
+        # RuntimeWarning into an error, so a leaked warning fails this test
+        rng = np.random.default_rng(0)
+        logits = rng.standard_normal((20, 2)) * 1e200
+        labels = rng.integers(0, 2, 20)
+        cp = fit_correction(logits, labels)
+        assert np.all(np.isfinite(cp.w)) and np.all(np.isfinite(cp.b))
+        assert all(b <= a for a, b in zip(cp.fit_nll_history, cp.fit_nll_history[1:]))
 
     def test_single_class_warns_but_fits(self):
         calib = dataset_from_texts(["f0p1 f1p1", "f0p2 f1p0", "f0p0 f1p2"], [1, 1, 1])

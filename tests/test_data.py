@@ -59,12 +59,17 @@ class TestLoadJsonl:
 
     def test_roundtrip_through_write_jsonl(self, tmp_path):
         ds = data.Dataset(
-            [data.Example("hello world", 1), data.Example("more text", None)],
-            "target", "t",
+            [data.Example("hello world", 1), data.Example("more text", None)], name="t"
         )
         p = tmp_path / "out.jsonl"
         data.write_jsonl(ds, p)
-        assert data.load_jsonl(p, domain_tag="target").examples == ds.examples
+        back = data.load_jsonl(p)
+        assert back.examples == ds.examples and back.name == "out"
+
+    def test_dataset_name_and_warning_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            data.Dataset([data.Example("a", 1)], "target", "calib")
+        assert data.Dataset([], name="n", warning="w").warning == "w"
 
     def test_crlf_line_endings(self, tmp_path):
         p = tmp_path / "crlf.jsonl"
@@ -81,7 +86,7 @@ class TestLoadJsonl:
 
 class TestSplit:
     def make(self, n):
-        return data.Dataset([data.Example(f"t{i}", i % 2) for i in range(n)], "source", "s")
+        return data.Dataset([data.Example(f"t{i}", i % 2) for i in range(n)], name="s")
 
     def test_sizes_7_1_2(self):
         tr, va, te = data.split(self.make(10), (0.7, 0.1, 0.2), seed=0)
@@ -116,7 +121,7 @@ class TestSplit:
 
     def test_empty_dataset(self):
         with pytest.raises(DatasetError):
-            data.split(data.Dataset([], "source", "s"), (0.7, 0.1, 0.2), seed=0)
+            data.split(data.Dataset([], name="s"), (0.7, 0.1, 0.2), seed=0)
 
 
 class TestPreprocess:
@@ -296,10 +301,10 @@ class TestGenSynthetic:
 
 class TestDataset:
     def test_class_prior_requires_full_labels(self):
-        ds = data.Dataset([data.Example("a", 1), data.Example("b", None)], "source", "s")
+        ds = data.Dataset([data.Example("a", 1), data.Example("b", None)], name="s")
         with pytest.raises(DatasetError):
             ds.class_prior()
 
     def test_class_prior(self):
-        ds = data.Dataset([data.Example("a", 1), data.Example("b", 0)], "source", "s")
+        ds = data.Dataset([data.Example("a", 1), data.Example("b", 0)], name="s")
         assert ds.class_prior() == 0.5

@@ -375,9 +375,9 @@ class TestPretrain:
         params = model.init(256, 8, 8, seed=0)
         with pytest.raises(DatasetError):
             model.pretrain(
-                params, data.Dataset([], "source", "e"), val, model.TrainConfig()
+                params, data.Dataset([], name="e"), val, model.TrainConfig()
             )
-        unlabeled = data.Dataset([data.Example("a b", None)], "source", "u")
+        unlabeled = data.Dataset([data.Example("a b", None)], name="u")
         with pytest.raises(DatasetError):
             model.pretrain(params, unlabeled, val, model.TrainConfig())
 
