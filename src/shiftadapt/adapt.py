@@ -18,9 +18,8 @@ import numpy as np
 from .correction import CorrectionParams, fit_correction, pseudo_label
 from .data import Dataset, featurize_dataset
 from .errors import AdaptationError, ConfigError, DatasetError, EmptyPseudoLabelSetError
-from .metrics import balanced_accuracy, confusion
 from .mmd import EmbeddingBatch, contrastive_grad, contrastive_loss, median_bandwidth
-from .model import ModelParams, Optimizer, backward, compact, expand, forward, nll_head, softmax
+from .model import ModelParams, Optimizer, backward, compact, expand, forward, logits_ba, nll_head
 
 
 @dataclass
@@ -47,6 +46,8 @@ class AdaptConfig:
             raise ConfigError("iterations_per_epoch must be positive when set")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,6 @@ class AdaptTrace:
         return sum(1 for rec in self.iterations if rec.with_replacement)
 
 
-def _histogram(labels) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for y in labels:
-        hist[y] = hist.get(y, 0) + 1
-    return hist
-
-
 def class_aware_sample(
     source_labels: Sequence[int],
     target_labels: Sequence[int],
@@ -119,18 +113,16 @@ def class_aware_sample(
     source_labels = np.asarray(source_labels)
     if source_labels.dtype == object:
         raise DatasetError("class-aware sampling requires a fully labeled source")
-    hist = _histogram(target_labels)
+    classes, counts = np.unique(target_labels, return_counts=True)
     chosen: list[int] = []
     with_replacement = False
-    for cls in sorted(hist):
+    for cls, k in zip(classes.tolist(), counts.tolist()):
         pool = np.flatnonzero(source_labels == cls)
         if pool.size == 0:
             raise AdaptationError(f"source contains no examples of class {cls}")
-        k = hist[cls]
         replace = pool.size < k
         with_replacement = with_replacement or replace
-        picks = rng.choice(pool.size, size=k, replace=replace)
-        chosen.extend(int(pool[i]) for i in picks)
+        chosen.extend(pool[rng.choice(pool.size, size=k, replace=replace)].tolist())
     return chosen, with_replacement
 
 
@@ -160,12 +152,9 @@ def run_adaptation(
     work, rows, (src_feats, tgt_feats, calib_feats) = compact(
         model, *(featurize_dataset(ds, model.hash_dim) for ds in (source, target, calib)))
     src_labels = np.asarray([ex.label for ex in source.examples])
-    calib_labels = [ex.label for ex in calib.examples]
-    tgt_truth = [ex.label for ex in target.examples] if target.is_fully_labeled() else None
-
-    def calib_ba(logits):
-        preds = np.argmax(softmax(logits), axis=1).tolist()
-        return balanced_accuracy(confusion(preds, calib_labels))
+    calib_labels = np.asarray([ex.label for ex in calib.examples])
+    tgt_truth = (np.asarray([ex.label for ex in target.examples])
+                 if target.is_fully_labeled() else None)
 
     rng = np.random.default_rng(cfg.seed)
     opt = Optimizer(cfg.learning_rate, work)
@@ -173,7 +162,7 @@ def run_adaptation(
     # Calibration logits of the current parameters: they give the epoch's
     # calibration BA and feed the next correction fit.
     calib_logits = forward(work, calib_feats).logits
-    best_ba = calib_ba(calib_logits)
+    best_ba = logits_ba(calib_logits, calib_labels)
     best_epoch = 0
 
     trace = AdaptTrace()
@@ -186,48 +175,50 @@ def run_adaptation(
         else:
             cp = CorrectionParams.identity()
         trace.correction_warnings.extend(cp.warnings)
-        entries = pseudo_label(cp, forward(work, tgt_feats).logits, cfg.tau)
-        if not entries:
+        pseudo_rows, pseudo_labels = pseudo_label(cp, forward(work, tgt_feats).logits, cfg.tau)
+        n_pseudo = len(pseudo_rows)
+        if n_pseudo == 0:
             raise EmptyPseudoLabelSetError(cfg.tau)
         if iterations_per_epoch is None:
-            iterations_per_epoch = math.ceil(len(entries) / cfg.batch_size)
-        order = rng.permutation(len(entries))
+            iterations_per_epoch = math.ceil(n_pseudo / cfg.batch_size)
+        order = rng.permutation(n_pseudo)
         pos = 0
 
-        def next_target_batch():
+        def next_target_batch():  # positions into pseudo_rows and pseudo_labels
             nonlocal order, pos
             batch = []
             while len(batch) < cfg.batch_size:
                 if pos >= order.size:
-                    order = rng.permutation(len(entries))
-                    pos = 0
-                batch.append(entries[order[pos]])
+                    order, pos = rng.permutation(n_pseudo), 0
+                batch.append(order[pos])
                 pos += 1
-            return batch
+            return np.asarray(batch)
 
         for _ in range(iterations_per_epoch):
             global_iter += 1
             t_batch = next_target_batch()
-            t_labels = [e.label for e in t_batch]
+            t_labels = pseudo_labels[t_batch]
             s_indices, with_repl = class_aware_sample(src_labels, t_labels, rng)
-            s_labels = src_labels[s_indices].tolist()
-            assert _histogram(s_labels) == _histogram(t_labels), "sampler histogram mismatch"
+            s_labels = src_labels[s_indices]
+            assert np.array_equal(
+                np.sort(s_labels), np.sort(t_labels)), "sampler histogram mismatch"
 
             # One forward pass: source rows first, so row n_s starts the target rows.
             rec = forward(work, [src_feats[i] for i in s_indices]
-                          + [tgt_feats[e.index] for e in t_batch])
+                          + [tgt_feats[i] for i in pseudo_rows[t_batch]])
             n_s, n_t = len(s_indices), len(t_batch)
 
             # NLL head: equal-weight average of the source and target batch means.
             weights = np.repeat([0.5 / n_s, 0.5 / n_t], [n_s, n_t])
-            terms, grad_logits = nll_head(rec.logits, s_labels + t_labels, weights)
+            terms, grad_logits = nll_head(rec.logits, np.concatenate([s_labels, t_labels]),
+                                          weights)
             # A sequential sum from +0.0, as the trace has always been written: not
             # pairwise (np.sum) or compensated (sum() from 3.12), and never -0.0.
             nll_total = 0.0 + float(np.cumsum(terms)[-1])
 
             # Contrastive head on the phi representations; median-heuristic gamma per batch pair.
-            s_emb = EmbeddingBatch(rec.phi[:n_s], np.asarray(s_labels))
-            t_emb = EmbeddingBatch(rec.phi[n_s:], np.asarray(t_labels))
+            s_emb = EmbeddingBatch(rec.phi[:n_s], s_labels)
+            t_emb = EmbeddingBatch(rec.phi[n_s:], t_labels)
             gamma = median_bandwidth(s_emb, t_emb)
             closs = contrastive_loss(s_emb, t_emb, gamma)
 
@@ -249,17 +240,13 @@ def run_adaptation(
             ))
 
         calib_logits = forward(work, calib_feats).logits
-        ba = calib_ba(calib_logits)
-        pseudo_labels = [e.label for e in entries]
-        pseudo_accuracy = None
-        if tgt_truth is not None:
-            pseudo_accuracy = sum(
-                1 for e in entries if e.label == tgt_truth[e.index]
-            ) / len(entries)
+        ba = logits_ba(calib_logits, calib_labels)
+        pseudo_accuracy = (None if tgt_truth is None else
+                           int((pseudo_labels == tgt_truth[pseudo_rows]).sum()) / n_pseudo)
         trace.epochs.append(EpochRecord(
             epoch=epoch,
-            n_pseudo=len(entries),
-            pseudo_prior=sum(pseudo_labels) / len(pseudo_labels),
+            n_pseudo=n_pseudo,
+            pseudo_prior=int(pseudo_labels.sum()) / n_pseudo,
             pseudo_accuracy=pseudo_accuracy,
             calib_ba=ba,
             correction=cp.to_dict(),

@@ -80,6 +80,10 @@ class ModelConfig:
     d_hidden: int = 32
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"model.seed must be non-negative, got {self.seed}")
+
 
 @dataclass
 class OutputConfig:

@@ -72,13 +72,6 @@ FIT_TOL = 1e-8  # stop when the NLL improvement falls below this
 B_MAX = 10.0  # discard the bias when any |b_j| exceeds this
 
 
-@dataclass(frozen=True)
-class PseudoEntry:
-    index: int
-    label: int
-    confidence: float
-
-
 def apply_correction(cp: CorrectionParams, logits: np.ndarray) -> np.ndarray:
     """softmax(w * logits + b) over the last axis of (..., 2) logits; a
     discarded bias is stored as b = 0."""
@@ -193,8 +186,11 @@ def fit_correction(logits: np.ndarray, labels: Sequence[int]) -> CorrectionParam
     )
 
 
-def pseudo_label(cp: CorrectionParams, logits: np.ndarray, tau: float) -> list[PseudoEntry]:
-    """Corrected-argmax pseudo labels for every (n, 2) logits row with confidence >= tau.
+def pseudo_label(
+    cp: CorrectionParams, logits: np.ndarray, tau: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 2) logits rows whose corrected confidence is >= tau, in
+    ascending order, and their corrected-argmax labels: two int64 arrays.
 
     argmax takes the first maximum, so ties go to class 0. An empty result is
     a valid status the adaptation stage must handle.
@@ -202,12 +198,8 @@ def pseudo_label(cp: CorrectionParams, logits: np.ndarray, tau: float) -> list[P
     if not 0.5 < tau < 1.0:
         raise ConfigError(f"tau must lie in (0.5, 1), got {tau}")
     probs = apply_correction(cp, _logit_matrix(logits))
-    labels = np.argmax(probs, axis=1)
-    conf = probs[np.arange(len(probs)), labels]
-    return [
-        PseudoEntry(index=int(i), label=int(labels[i]), confidence=float(conf[i]))
-        for i in np.flatnonzero(conf >= tau)
-    ]
+    kept = np.flatnonzero(probs.max(axis=1) >= tau)
+    return kept, np.argmax(probs[kept], axis=1)
 
 
 def predict_labels(

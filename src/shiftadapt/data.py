@@ -267,6 +267,8 @@ class SynthConfig:
             raise ConfigError("all four class mean vectors must share one dimension")
         if self.noise_scale <= 0:
             raise ConfigError(f"noise_scale must be positive, got {self.noise_scale}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthConfig":

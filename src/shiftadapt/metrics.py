@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -41,27 +42,17 @@ class MetricsReport:
         }
 
 
-def confusion(preds: Sequence[int], truth: Sequence[int]) -> ConfusionMatrix:
-    """Count tp/tn/fp/fn over parallel binary label sequences."""
-    if len(preds) != len(truth) or len(preds) == 0:
-        raise ValueError(
-            f"preds and truth must be equal-length and non-empty, "
-            f"got {len(preds)} vs {len(truth)}"
-        )
-    tp = tn = fp = fn = 0
-    for p, t in zip(preds, truth):
-        if p not in (0, 1) or t not in (0, 1):
-            raise ValueError(f"labels must be 0 or 1, got pred={p!r} truth={t!r}")
-        if t == 1:
-            if p == 1:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p == 1:
-                fp += 1
-            else:
-                tn += 1
+def confusion(preds, truth) -> ConfusionMatrix:
+    """Count tp/tn/fp/fn over parallel 0/1 labels (lists or arrays, bools and 1.0 too)."""
+    preds, truth = np.asarray(preds), np.asarray(truth)
+    if preds.ndim != 1 or preds.shape != truth.shape or preds.size == 0:
+        raise ValueError(f"preds and truth must be equal-length and non-empty, "
+                         f"got shapes {preds.shape} vs {truth.shape}")
+    for labels in (preds, truth):
+        if labels.dtype.kind not in "biuf" or not np.all((labels == 0) | (labels == 1)):
+            raise ValueError(f"labels must be 0 or 1, got {labels.dtype} values {labels!r}")
+    # bin 2 * truth + pred: tn, fp, fn, tp
+    tn, fp, fn, tp = np.bincount((2 * truth + preds).astype(np.int64), minlength=4).tolist()
     return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
 
 

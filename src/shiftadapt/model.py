@@ -43,6 +43,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.max_epochs < 0:
             raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -238,9 +240,10 @@ def expand(full: ModelParams, small: ModelParams, rows: np.ndarray) -> ModelPara
     return ModelParams(embed, *small.blocks()[1:])
 
 
-def predict(params: ModelParams, feats: Sequence[SparseVec]) -> list[int]:
-    """Argmax class per featurized example; ties resolve to class 0."""
-    return np.argmax(softmax(forward(params, feats).logits), axis=1).tolist()
+def logits_ba(logits: np.ndarray, labels) -> float:
+    """Balanced accuracy of argmax(softmax(logits)) against labels; ties go to
+    class 0. The softmax stays: argmax(logits) differs on near-ties."""
+    return balanced_accuracy(confusion(np.argmax(softmax(logits), axis=1), labels))
 
 
 def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig) -> ModelParams:
@@ -260,13 +263,9 @@ def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig
     work, rows, (train_feats, val_feats) = compact(
         params, featurize_dataset(train, params.hash_dim), featurize_dataset(val, params.hash_dim))
     train_labels = np.asarray([ex.label for ex in train.examples])
-    val_labels = [ex.label for ex in val.examples]
-
-    def val_ba(p):
-        return balanced_accuracy(confusion(predict(p, val_feats), val_labels))
-
+    val_labels = np.asarray([ex.label for ex in val.examples])
     best = work.copy()
-    best_ba = val_ba(work)
+    best_ba = logits_ba(forward(work, val_feats).logits, val_labels)
     opt = Optimizer(cfg.learning_rate, work)
     rng = np.random.default_rng(cfg.seed)
     n = len(train_feats)
@@ -277,7 +276,7 @@ def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig
             rec = forward(work, [train_feats[i] for i in batch])
             _, grads = nll_head(rec.logits, train_labels[batch], 1.0 / len(batch))
             opt.step(work, backward(work, rec, grads))
-        ba = val_ba(work)
+        ba = logits_ba(forward(work, val_feats).logits, val_labels)
         if ba > best_ba:
             best_ba = ba
             best = work.copy()

@@ -55,12 +55,7 @@ def small_pretrained(small_scenario):
 
 
 def ba_on(params, dataset):
-    from shiftadapt.data import featurize_dataset
-    from shiftadapt.metrics import balanced_accuracy, confusion
-
-    feats = featurize_dataset(dataset, params.hash_dim)
-    preds = model.predict(params, feats)
-    return balanced_accuracy(confusion(preds, [ex.label for ex in dataset.examples]))
+    return model.logits_ba(*logits_and_labels(params, dataset))
 
 
 def logits_and_labels(params, dataset):

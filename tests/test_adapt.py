@@ -91,6 +91,8 @@ class TestAdaptConfig:
             AdaptConfig(iterations_per_epoch=0)
         with pytest.raises(ConfigError):
             AdaptConfig(learning_rate=0)
+        with pytest.raises(ConfigError, match="seed"):
+            AdaptConfig(seed=-1)
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +159,21 @@ class TestRunAdaptation:
                 rec.nll + cfg.lam * rec.contrastive, abs=1e-12
             )
 
+    def test_records_hold_python_scalars(self, adapted_run):
+        """summary.json is written by json.dump, which rejects numpy integers,
+        and trace.csv by repr, which spells a numpy float np.float64(...)."""
+        _, _, trace = adapted_run
+        for rec in trace.iterations:
+            assert type(rec.iteration) is int and type(rec.with_replacement) is bool
+            for value in (rec.nll, rec.contrastive, rec.combined, rec.gamma):
+                assert type(value) is float
+            assert all(type(term) is str for term in rec.skipped_terms)
+        for e in trace.epochs:
+            assert type(e.epoch) is int and type(e.n_pseudo) is int
+            for value in (e.pseudo_prior, e.pseudo_accuracy, e.calib_ba):
+                assert type(value) is float
+        assert type(trace.best_epoch) is int and type(trace.best_calib_ba) is float
+
     def test_epoch_records(self, adapted_run):
         cfg, _, trace = adapted_run
         assert [e.epoch for e in trace.epochs] == list(range(1, cfg.epochs + 1))
@@ -173,8 +190,8 @@ class TestRunAdaptation:
         """record holds the correction fit and pseudo-labelling of params."""
         cp = correction.fit_correction(*logits_and_labels(params, small_pretrained["calib"]))
         pool_logits, _ = logits_and_labels(params, small_pretrained["pool"])
-        ps = correction.pseudo_label(cp, pool_logits, tau)
-        assert record.n_pseudo == len(ps)
+        indices, _ = correction.pseudo_label(cp, pool_logits, tau)
+        assert record.n_pseudo == len(indices)
         assert record.correction == cp.to_dict()
 
     def test_first_epoch_matches_standalone_stage_one(self, small_pretrained, adapted_run):
@@ -289,11 +306,11 @@ class TestRunAdaptation:
     def test_single_class_pool_records_skipped_terms(self, small_pretrained):
         # build a pool the model itself pseudo-labels entirely as class 1
         full_pool = small_pretrained["pool"]
-        ps = correction.pseudo_label(
+        indices, labels = correction.pseudo_label(
             correction.CorrectionParams.identity(),
             logits_and_labels(small_pretrained["params"], full_pool)[0], tau=0.55,
         )
-        one_idx = [e.index for e in ps if e.label == 1][:12]
+        one_idx = indices[labels == 1][:12].tolist()
         assert len(one_idx) >= 8
         pool = data.Dataset([full_pool.examples[i] for i in one_idx], name="ones")
         cfg = AdaptConfig(seed=0, epochs=1, batch_size=8, tau=0.55, label_correction=False)

@@ -180,6 +180,11 @@ class TestConfigMachinery:
         "adapt.lambda=NaN",
         "train.learning_rate=NaN",
         "data.split_ratios=[0.7, NaN, 0.2]",
+        # negative seeds, which numpy's generators reject
+        "model.seed=-1",
+        "train.seed=-1",
+        "adapt.seed=-1",
+        "data.synth.seed=-1",
     ])
     def test_bad_key_or_type_exits_2_with_one_line(self, tmp_path, capsys, override):
         cfg_path = write_config(tmp_path, tmp_path / "x")

@@ -210,16 +210,17 @@ class TestPseudoLabel:
     def test_threshold_filtering(self):
         cp = CorrectionParams.identity()
         logits = np.log(np.array([[0.55, 0.45], [0.25, 0.75]]))
-        entries = pseudo_label(cp, logits, tau=0.6)
-        assert len(entries) == 1
-        e = entries[0]
-        assert e.index == 1 and e.label == 1 and e.confidence == pytest.approx(0.75)
+        indices, labels = pseudo_label(cp, logits, tau=0.6)
+        assert indices.dtype == labels.dtype == np.int64
+        assert indices.tolist() == [1] and labels.tolist() == [1]
+        assert apply_correction(cp, logits)[indices, labels] == pytest.approx([0.75])
 
     def test_boundary_confidence_retained(self):
         cp = CorrectionParams.identity()
         logits = np.log(np.array([[0.4, 0.6]]))
-        entries = pseudo_label(cp, logits, tau=0.6)
-        assert len(entries) == 1 and entries[0].confidence == pytest.approx(0.6)
+        indices, labels = pseudo_label(cp, logits, tau=0.6)
+        assert indices.tolist() == [0] and labels.tolist() == [1]
+        assert apply_correction(cp, logits)[indices, labels] == pytest.approx([0.6])
 
     @pytest.mark.parametrize("cp", [CorrectionParams.identity(), CorrectionParams(
         w=np.array([2.0, 2.0]), b=np.array([1.0, -1.0]))])
@@ -227,7 +228,8 @@ class TestPseudoLabel:
         # A tie's argmax is class 0 with confidence 0.5, below every valid tau.
         logits = (np.zeros((1, 2)) - cp.b) / cp.w  # corrected logits tie exactly
         assert apply_correction(cp, logits)[0, 0] == 0.5
-        assert pseudo_label(cp, logits, tau=0.500001) == []
+        indices, labels = pseudo_label(cp, logits, tau=0.500001)
+        assert indices.size == 0 and labels.size == 0
 
     def test_full_interface_on_synthetic(self, small_pretrained):
         pre = small_pretrained["params"]
@@ -235,28 +237,31 @@ class TestPseudoLabel:
         calib = small_pretrained["calib"]
         cp = fit_correction(*logits_and_labels(pre, calib))
         pool_logits, _ = logits_and_labels(pre, pool)
-        ps = pseudo_label(cp, pool_logits, tau=0.7)
-        assert ps
-        assert all(e.confidence >= 0.7 for e in ps)
-        idx = [e.index for e in ps]
-        assert len(set(idx)) == len(idx)
+        indices, labels = pseudo_label(cp, pool_logits, tau=0.7)
+        assert indices.size > 0
+        probs = apply_correction(cp, pool_logits)
+        assert np.all(probs[indices, labels] >= 0.7)
+        assert np.array_equal(labels, np.argmax(probs[indices], axis=1))
+        assert len(set(indices.tolist())) == len(indices)
+        assert np.all(np.diff(indices) > 0)  # ascending
         # deterministic
-        ps2 = pseudo_label(cp, pool_logits, tau=0.7)
-        assert ps == ps2
+        again = pseudo_label(cp, pool_logits, tau=0.7)
+        assert np.array_equal(again[0], indices) and np.array_equal(again[1], labels)
 
     def test_filtering_improves_precision(self, small_pretrained):
         pre = small_pretrained["params"]
         pool = small_pretrained["pool"]
         calib = small_pretrained["calib"]
-        truth = [ex.label for ex in pool.examples]
+        truth = np.asarray([ex.label for ex in pool.examples])
         cp = fit_correction(*logits_and_labels(pre, calib))
         pool_logits, _ = logits_and_labels(pre, pool)
         filtered = pseudo_label(cp, pool_logits, tau=0.8)
         unfiltered = pseudo_label(cp, pool_logits, tau=0.500001)
-        assert len(unfiltered) == len(pool)
+        assert len(unfiltered[0]) == len(pool)
 
         def precision(ps):
-            return sum(1 for e in ps if e.label == truth[e.index]) / len(ps)
+            indices, labels = ps
+            return np.mean(labels == truth[indices])
 
         assert precision(filtered) >= precision(unfiltered)
 

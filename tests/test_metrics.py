@@ -23,10 +23,14 @@ class TestConfusion:
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
+        for i in range(40):
             preds = rng.integers(0, 2, 20).tolist()
             truth = rng.integers(0, 2, 20).tolist()
-            cm = confusion(preds, truth)
+            if i % 2:  # numpy int arrays as well as lists
+                cm = confusion(np.asarray(preds), np.asarray(truth))
+            else:
+                cm = confusion(preds, truth)
+            assert all(type(c) is int for c in (cm.tp, cm.tn, cm.fp, cm.fn))
             # independent per-element loop
             tp = sum(1 for p, t in zip(preds, truth) if p == 1 and t == 1)
             tn = sum(1 for p, t in zip(preds, truth) if p == 0 and t == 0)
@@ -42,8 +46,17 @@ class TestConfusion:
             confusion([], [])
 
     def test_non_binary_labels(self):
-        with pytest.raises(ValueError):
-            confusion([2], [1])
+        for label in (2, None, 0.5, "1", -1, float("nan")):
+            for preds, truth in (([label], [1]), ([1], [label]), ([0, label], [1, 0])):
+                with pytest.raises(ValueError):
+                    confusion(preds, truth)
+        # bools and 1.0 equal 0 or 1, so they count as labels
+        for label in (True, False, 1.0):
+            for preds, truth in (([label], [1]), ([1], [label]), ([0, label], [1, 0])):
+                cm = confusion(preds, truth)
+                pairs = list(zip(preds, truth))
+                assert (cm.tp, cm.fn) == (pairs.count((1, 1)), pairs.count((0, 1)))
+                assert (cm.fp, cm.tn) == (pairs.count((1, 0)), pairs.count((0, 0)))
 
 
 class TestBalancedAccuracy:

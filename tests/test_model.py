@@ -444,3 +444,25 @@ class TestTrainConfig:
             model.TrainConfig(learning_rate=0.0)
         with pytest.raises(ConfigError):
             model.TrainConfig(batch_size=1)
+        with pytest.raises(ConfigError, match="seed"):
+            model.TrainConfig(seed=-1)
+
+
+class TestLogitsBa:
+    def test_ties_and_near_ties_go_to_class_zero(self):
+        # Row 0's logits differ by 1e-17, below a double's resolution at 1, so
+        # its softmax ties and the prediction is class 0; argmax(logits) says 1.
+        logits = np.array([[0.0, 1e-17], [0.0, 5.0], [2.0, 2.0]])
+        assert np.argmax(logits[0]) == 1
+        assert model.logits_ba(logits, [0, 1, 0]) == 1.0
+        assert model.logits_ba(logits, np.array([1, 0, 1])) == 0.0
+
+    def test_matches_predict_labels(self, small_pretrained):
+        from shiftadapt import correction, metrics
+
+        params, calib = small_pretrained["params"], small_pretrained["calib"]
+        feats = data.featurize_dataset(calib, params.hash_dim)
+        labels = [ex.label for ex in calib.examples]
+        cm = metrics.confusion(correction.predict_labels(params, feats), labels)
+        logits = model.forward(params, feats).logits
+        assert model.logits_ba(logits, labels) == metrics.balanced_accuracy(cm)
