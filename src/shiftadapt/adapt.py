@@ -140,7 +140,8 @@ def run_adaptation(
     calibration balanced accuracy (the input model counts as epoch 0) plus
     the full trace. Bit-reproducible for fixed inputs and seed. Training runs
     on the embedding rows source, target and calib read (`compact`);
-    the other rows come back unchanged.
+    the other rows come back unchanged. AdaptationError, naming the epoch,
+    when training leaves the float range.
     """
     if not source.is_fully_labeled():
         raise DatasetError("source dataset must be fully labeled")
@@ -169,92 +170,96 @@ def run_adaptation(
     iterations_per_epoch = cfg.iterations_per_epoch
     global_iter = 0
 
-    for epoch in range(1, cfg.epochs + 1):
-        if cfg.label_correction:
-            cp = fit_correction(calib_logits, calib_labels)
-        else:
-            cp = CorrectionParams.identity()
-        trace.correction_warnings.extend(cp.warnings)
-        pseudo_rows, pseudo_labels = pseudo_label(cp, forward(work, tgt_feats).logits, cfg.tau)
-        n_pseudo = len(pseudo_rows)
-        if n_pseudo == 0:
-            raise EmptyPseudoLabelSetError(cfg.tau)
-        if iterations_per_epoch is None:
-            iterations_per_epoch = math.ceil(n_pseudo / cfg.batch_size)
-        order = rng.permutation(n_pseudo)
-        pos = 0
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            if cfg.label_correction:
+                cp = fit_correction(calib_logits, calib_labels)
+            else:
+                cp = CorrectionParams.identity()
+            trace.correction_warnings.extend(cp.warnings)
+            pseudo_rows, pseudo_labels = pseudo_label(cp, forward(work, tgt_feats).logits, cfg.tau)
+            n_pseudo = len(pseudo_rows)
+            if n_pseudo == 0:
+                raise EmptyPseudoLabelSetError(cfg.tau)
+            if iterations_per_epoch is None:
+                iterations_per_epoch = math.ceil(n_pseudo / cfg.batch_size)
+            order = rng.permutation(n_pseudo)
+            pos = 0
 
-        def next_target_batch():  # positions into pseudo_rows and pseudo_labels
-            nonlocal order, pos
-            batch = []
-            while len(batch) < cfg.batch_size:
-                if pos >= order.size:
-                    order, pos = rng.permutation(n_pseudo), 0
-                batch.append(order[pos])
-                pos += 1
-            return np.asarray(batch)
+            def next_target_batch():  # positions into pseudo_rows and pseudo_labels
+                nonlocal order, pos
+                batch = []
+                while len(batch) < cfg.batch_size:
+                    if pos >= order.size:
+                        order, pos = rng.permutation(n_pseudo), 0
+                    batch.append(order[pos])
+                    pos += 1
+                return np.asarray(batch)
 
-        for _ in range(iterations_per_epoch):
-            global_iter += 1
-            t_batch = next_target_batch()
-            t_labels = pseudo_labels[t_batch]
-            s_indices, with_repl = class_aware_sample(src_labels, t_labels, rng)
-            s_labels = src_labels[s_indices]
-            assert np.array_equal(
-                np.sort(s_labels), np.sort(t_labels)), "sampler histogram mismatch"
+            for _ in range(iterations_per_epoch):
+                global_iter += 1
+                t_batch = next_target_batch()
+                t_labels = pseudo_labels[t_batch]
+                s_indices, with_repl = class_aware_sample(src_labels, t_labels, rng)
+                s_labels = src_labels[s_indices]
+                assert np.array_equal(
+                    np.sort(s_labels), np.sort(t_labels)), "sampler histogram mismatch"
 
-            # One forward pass: source rows first, so row n_s starts the target rows.
-            rec = forward(work, [src_feats[i] for i in s_indices]
-                          + [tgt_feats[i] for i in pseudo_rows[t_batch]])
-            n_s, n_t = len(s_indices), len(t_batch)
+                # One forward pass: source rows first, so row n_s starts the target rows.
+                rec = forward(work, [src_feats[i] for i in s_indices]
+                              + [tgt_feats[i] for i in pseudo_rows[t_batch]])
+                n_s, n_t = len(s_indices), len(t_batch)
 
-            # NLL head: equal-weight average of the source and target batch means.
-            weights = np.repeat([0.5 / n_s, 0.5 / n_t], [n_s, n_t])
-            terms, grad_logits = nll_head(rec.logits, np.concatenate([s_labels, t_labels]),
-                                          weights)
-            # A sequential sum from +0.0, as the trace has always been written: not
-            # pairwise (np.sum) or compensated (sum() from 3.12), and never -0.0.
-            nll_total = 0.0 + float(np.cumsum(terms)[-1])
+                # NLL head: equal-weight average of the source and target batch means.
+                weights = np.repeat([0.5 / n_s, 0.5 / n_t], [n_s, n_t])
+                terms, grad_logits = nll_head(rec.logits, np.concatenate([s_labels, t_labels]),
+                                              weights)
+                # A sequential sum from +0.0, as the trace has always been written: not
+                # pairwise (np.sum) or compensated (sum() from 3.12), and never -0.0.
+                nll_total = 0.0 + float(np.cumsum(terms)[-1])
 
-            # Contrastive head on the phi representations; median-heuristic gamma per batch pair.
-            s_emb = EmbeddingBatch(rec.phi[:n_s], s_labels)
-            t_emb = EmbeddingBatch(rec.phi[n_s:], t_labels)
-            gamma = median_bandwidth(s_emb, t_emb)
-            closs = contrastive_loss(s_emb, t_emb, gamma)
+                # Contrastive head on the phi representations; median-heuristic gamma
+                # per batch pair.
+                s_emb = EmbeddingBatch(rec.phi[:n_s], s_labels)
+                t_emb = EmbeddingBatch(rec.phi[n_s:], t_labels)
+                gamma = median_bandwidth(s_emb, t_emb)
+                closs = contrastive_loss(s_emb, t_emb, gamma)
 
-            grad_phi = None
-            if cfg.lam != 0.0:
-                grads_c = contrastive_grad(s_emb, t_emb, gamma)
-                grad_phi = cfg.lam * np.vstack([grads_c.grad_source, grads_c.grad_target])
+                grad_phi = None
+                if cfg.lam != 0.0:
+                    grads_c = contrastive_grad(s_emb, t_emb, gamma)
+                    grad_phi = cfg.lam * np.vstack([grads_c.grad_source, grads_c.grad_target])
 
-            opt.step(work, backward(work, rec, grad_logits, grad_phi))
+                opt.step(work, backward(work, rec, grad_logits, grad_phi))
 
-            trace.iterations.append(IterationRecord(
-                iteration=global_iter,
-                nll=nll_total,
-                contrastive=closs.value,
-                combined=nll_total + cfg.lam * closs.value,
-                gamma=gamma,
-                skipped_terms=closs.skipped,
-                with_replacement=with_repl,
+                trace.iterations.append(IterationRecord(
+                    iteration=global_iter,
+                    nll=nll_total,
+                    contrastive=closs.value,
+                    combined=nll_total + cfg.lam * closs.value,
+                    gamma=gamma,
+                    skipped_terms=closs.skipped,
+                    with_replacement=with_repl,
+                ))
+
+            calib_logits = forward(work, calib_feats).logits
+            ba = logits_ba(calib_logits, calib_labels)
+            pseudo_accuracy = (None if tgt_truth is None else
+                               int((pseudo_labels == tgt_truth[pseudo_rows]).sum()) / n_pseudo)
+            trace.epochs.append(EpochRecord(
+                epoch=epoch,
+                n_pseudo=n_pseudo,
+                pseudo_prior=int(pseudo_labels.sum()) / n_pseudo,
+                pseudo_accuracy=pseudo_accuracy,
+                calib_ba=ba,
+                correction=cp.to_dict(),
             ))
-
-        calib_logits = forward(work, calib_feats).logits
-        ba = logits_ba(calib_logits, calib_labels)
-        pseudo_accuracy = (None if tgt_truth is None else
-                           int((pseudo_labels == tgt_truth[pseudo_rows]).sum()) / n_pseudo)
-        trace.epochs.append(EpochRecord(
-            epoch=epoch,
-            n_pseudo=n_pseudo,
-            pseudo_prior=int(pseudo_labels.sum()) / n_pseudo,
-            pseudo_accuracy=pseudo_accuracy,
-            calib_ba=ba,
-            correction=cp.to_dict(),
-        ))
-        if ba > best_ba:
-            best_ba = ba
-            best = work.copy()
-            best_epoch = epoch
+            if ba > best_ba:
+                best_ba = ba
+                best = work.copy()
+                best_epoch = epoch
+    except FloatingPointError as exc:
+        raise AdaptationError(f"adaptation diverged in epoch {epoch}: {exc}") from exc
 
     trace.best_epoch = best_epoch
     trace.best_calib_ba = best_ba

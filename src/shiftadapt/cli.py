@@ -408,7 +408,7 @@ def main(argv=None) -> int:
     except EmptyPseudoLabelSetError as exc:
         print(f"adaptation aborted: {exc}", file=sys.stderr)
         return EXIT_EMPTY_PSEUDO
-    except (ConfigError, DatasetError, AdaptationError, OSError) as exc:
+    except (ConfigError, DatasetError, AdaptationError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -148,6 +148,9 @@ def split(ds: Dataset, ratios: tuple[float, float, float], seed: int):
 
 
 def _strip_non_alnum(token: str) -> str:
+    # str.isalnum applies ch.isalnum to every code point (and is False for "").
+    if token.isalnum():
+        return token
     return "".join(ch for ch in token if ch.isalnum())
 
 

@@ -18,6 +18,11 @@ import numpy as np
 # (c1, c2, coefficient) triples defining the contrastive combination.
 _CONTRASTIVE_TERMS = ((0, 0, 1.0), (1, 1, 1.0), (0, 1, -0.5), (1, 0, -0.5))
 
+# Pairwise distances are computed a block of rows at a time; one block's
+# (rows, cols, d) difference holds at most this many float64 entries
+# (512 KB), so it stays in cache and nothing scales with (n + m)^2 * d.
+_BLOCK_ENTRIES = 1 << 16
+
 
 @dataclass
 class EmbeddingBatch:
@@ -48,9 +53,25 @@ class ContrastiveGradients(NamedTuple):
     skipped: tuple[str, ...]
 
 
+def _block_rows(width: int) -> int:
+    """Rows per block, so that a block's (rows, width) difference holds at
+    most _BLOCK_ENTRIES floats (always at least one row)."""
+    return max(1, _BLOCK_ENTRIES // max(width, 1))
+
+
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distances, a block of rows of a at a time through one scratch
+    difference. Each entry is the einsum of one difference row, so the split
+    into blocks moves no bit."""
+    out = np.empty((a.shape[0], b.shape[0]))
+    rows = min(_block_rows(b.size), a.shape[0])
+    scratch = np.empty((rows, *b.shape))
+    for start in range(0, a.shape[0], rows):
+        block = a[start : start + rows]
+        diff = scratch[: block.shape[0]]
+        np.subtract(block[:, None, :], b[None, :, :], out=diff)
+        out[start : start + rows] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
 
 
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -66,9 +87,20 @@ def median_bandwidth(batch_a: EmbeddingBatch, batch_b: EmbeddingBatch) -> float:
     n = stacked.shape[0]
     if n < 2:
         raise ValueError("median bandwidth needs at least two vectors in total")
-    d2 = _sq_dists(stacked, stacked)
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(d2[iu]))
+    # The strict upper triangle in row-major order, one block of rows at a
+    # time: rows start..stop against the columns after start.
+    upper = np.empty(n * (n - 1) // 2)
+    filled = start = 0
+    while start < n - 1:
+        cols = stacked[start + 1 :]
+        stop = min(n - 1, start + _block_rows(cols.size))
+        d2 = _sq_dists(stacked[start:stop], cols)
+        # Local row i keeps columns i and after: global column > global row.
+        kept = d2[np.arange(cols.shape[0]) >= np.arange(stop - start)[:, None]]
+        upper[filled : filled + kept.size] = kept
+        filled += kept.size
+        start = stop
+    med = float(np.median(upper, overwrite_input=True))
     return med if med >= 1e-12 else 1.0
 
 
@@ -81,23 +113,25 @@ def _class_pair_weights(sl: np.ndarray, tl: np.ndarray):
     indicator count is zero contributes nothing and is named in `skipped`
     as "d{c1}{c2}:{ss|tt|st}", in term order.
     """
-    w_ss = np.zeros((sl.size, sl.size))
-    w_tt = np.zeros((tl.size, tl.size))
-    w_st = np.zeros((sl.size, tl.size))
+    # Each block entry belongs to exactly one (c1, c2) term, so a 2x2 table of
+    # that term's weight, indexed by the two label vectors, builds the block.
+    tables = {part: np.zeros((2, 2)) for part in ("ss", "tt", "st")}
+    n_s, n_t = np.bincount(sl, minlength=2), np.bincount(tl, minlength=2)
     skipped = []
     for c1, c2, coef in _CONTRASTIVE_TERMS:
-        for part, xl, yl, w, part_coef in (
-            ("ss", sl, sl, w_ss, 1.0),
-            ("tt", tl, tl, w_tt, 1.0),
-            ("st", sl, tl, w_st, -2.0),
+        for part, nx, ny, part_coef in (
+            ("ss", n_s, n_s, 1.0),
+            ("tt", n_t, n_t, 1.0),
+            ("st", n_s, n_t, -2.0),
         ):
-            mx = xl == c1
-            my = yl == c2
-            count = int(mx.sum()) * int(my.sum())
+            count = int(nx[c1]) * int(ny[c2])
             if count == 0:
                 skipped.append(f"d{c1}{c2}:{part}")
             else:
-                w[np.ix_(mx, my)] += part_coef * coef / count
+                tables[part][c1, c2] = part_coef * coef / count
+    w_ss = tables["ss"][np.ix_(sl, sl)]
+    w_tt = tables["tt"][np.ix_(tl, tl)]
+    w_st = tables["st"][np.ix_(sl, tl)]
     return w_ss, w_tt, w_st, tuple(skipped)
 
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import Dataset, SparseVec, featurize_dataset
-from .errors import ConfigError, DatasetError
+from .errors import AdaptationError, ConfigError, DatasetError
 from .metrics import balanced_accuracy, confusion
 
 PROB_FLOOR = 1e-12
@@ -27,6 +27,11 @@ PARAM_BLOCKS = ("embed", "hidden_w", "hidden_b", "out_w", "out_b")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+
+def _is_finite(a: np.ndarray) -> bool:
+    # min and max propagate NaN and infinities, without a boolean copy of the array
+    return bool(np.isfinite([a.min(initial=0.0), a.max(initial=0.0)]).all())
 
 
 @dataclass
@@ -111,15 +116,21 @@ def init(hash_dim: int, d_embed: int, d_hidden: int, seed: int) -> ModelParams:
 
 def forward(params: ModelParams, feats: Sequence[SparseVec]) -> ForwardRecord:
     """Forward pass of a batch: phi = tanh(X @ embed @ hidden_w + hidden_b) and
-    logits = phi @ out_w + out_b, with row i of X the sparse vector feats[i]."""
+    logits = phi @ out_w + out_b, with row i of X the sparse vector feats[i].
+    FloatingPointError when the pre-activation X @ embed @ hidden_w + hidden_b
+    is not finite, which tanh would hide."""
     feats = tuple(feats)
     embedded = np.empty((len(feats), params.d_embed))
-    # Row by row, so no (nnz, d_embed) gather of the whole batch is ever held.
-    for row, x in zip(embedded, feats):
-        if x.dim != params.hash_dim:
-            raise ValueError(f"input dim {x.dim} != model hash_dim {params.hash_dim}")
-        row[:] = x.values @ params.embed[x.indices]
-    phi = np.tanh(embedded @ params.hidden_w + params.hidden_b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Row by row, so no (nnz, d_embed) gather of the whole batch is ever held.
+        for row, x in zip(embedded, feats):
+            if x.dim != params.hash_dim:
+                raise ValueError(f"input dim {x.dim} != model hash_dim {params.hash_dim}")
+            row[:] = x.values @ params.embed[x.indices]
+        pre = embedded @ params.hidden_w + params.hidden_b
+        if not _is_finite(pre):
+            raise FloatingPointError("the hidden pre-activation left the float range")
+    phi = np.tanh(pre)
     logits = phi @ params.out_w + params.out_b
     return ForwardRecord(feats=feats, embedded=embedded, phi=phi, logits=logits)
 
@@ -191,17 +202,34 @@ class Optimizer:
         self.t = 0
         self.m = ModelParams.zeros_like(params)
         self.v = ModelParams.zeros_like(params)
+        # Two scratch arrays per block: a step allocates no temporaries.
+        self._scratch = [(np.empty_like(b), np.empty_like(b)) for b in params.blocks()]
 
     def step(self, params: ModelParams, grads: ModelParams) -> None:
+        """One Adam step per block, in this operation order (which fixes every
+        bit): m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+        p -= (lr*(m/c1)) / (sqrt(v/c2) + eps). FloatingPointError when a
+        second moment leaves the float range; that block's p is unchanged."""
         self.t += 1
         corr1 = 1.0 - ADAM_BETA1 ** self.t
         corr2 = 1.0 - ADAM_BETA2 ** self.t
-        for p, g, m, v in zip(params.blocks(), grads.blocks(), self.m.blocks(), self.v.blocks()):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= self.lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+        blocks = zip(PARAM_BLOCKS, params.blocks(), grads.blocks(),
+                     self.m.blocks(), self.v.blocks(), self._scratch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, p, g, m, v, (s1, s2) in blocks:
+                m *= ADAM_BETA1
+                m += np.multiply(1.0 - ADAM_BETA1, g, out=s1)
+                v *= ADAM_BETA2
+                np.multiply(1.0 - ADAM_BETA2, g, out=s1)
+                v += np.multiply(s1, g, out=s1)
+                if not _is_finite(v):
+                    raise FloatingPointError(f"Adam's second moment of {name} overflowed")
+                np.divide(m, corr1, out=s1)
+                s1 *= self.lr
+                np.divide(v, corr2, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += ADAM_EPS
+                p -= np.divide(s1, s2, out=s1)
 
 
 def compact(
@@ -252,7 +280,8 @@ def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig
     The initial parameters count as the epoch-0 snapshot, so the result never
     validates worse than the input. Deterministic for a fixed seed. Training
     runs on the embedding rows train and val read (`compact`); the other
-    rows come back unchanged.
+    rows come back unchanged. AdaptationError, naming the epoch, when
+    training leaves the float range.
     """
     if len(train) == 0:
         raise DatasetError("pretrain requires a non-empty training set")
@@ -269,14 +298,17 @@ def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig
     opt = Optimizer(cfg.learning_rate, work)
     rng = np.random.default_rng(cfg.seed)
     n = len(train_feats)
-    for _ in range(cfg.max_epochs):
+    for epoch in range(1, cfg.max_epochs + 1):
         perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = perm[start : start + cfg.batch_size]
-            rec = forward(work, [train_feats[i] for i in batch])
-            _, grads = nll_head(rec.logits, train_labels[batch], 1.0 / len(batch))
-            opt.step(work, backward(work, rec, grads))
-        ba = logits_ba(forward(work, val_feats).logits, val_labels)
+        try:
+            for start in range(0, n, cfg.batch_size):
+                batch = perm[start : start + cfg.batch_size]
+                rec = forward(work, [train_feats[i] for i in batch])
+                _, grads = nll_head(rec.logits, train_labels[batch], 1.0 / len(batch))
+                opt.step(work, backward(work, rec, grads))
+            ba = logits_ba(forward(work, val_feats).logits, val_labels)
+        except FloatingPointError as exc:
+            raise AdaptationError(f"pretraining diverged in epoch {epoch}: {exc}") from exc
         if ba > best_ba:
             best_ba = ba
             best = work.copy()
@@ -321,9 +353,7 @@ def load_checkpoint(path) -> ModelParams:
     shapes = {"embed": (h, e), "hidden_w": (e, d), "hidden_b": (d,), "out_w": (d, 2), "out_b": (2,)}
     for name, shape in shapes.items():
         block = arrays[name]
-        # min and max propagate NaN and infinities, without a boolean copy of the block
-        if (block.shape != shape or block.dtype != np.float64
-                or not np.isfinite([block.min(initial=0.0), block.max(initial=0.0)]).all()):
+        if block.shape != shape or block.dtype != np.float64 or not _is_finite(block):
             raise ConfigError(
                 f"checkpoint block {name} must be finite float64 of shape {shape}, "
                 f"got {block.dtype} {block.shape}"

@@ -254,6 +254,12 @@ class TestRunAdaptation:
         with pytest.raises(EmptyPseudoLabelSetError, match="lower tau"):
             run_adaptation(weak, train, pool, calib, cfg)
 
+    def test_overflowing_contrastive_step_names_the_epoch(self, small_pretrained):
+        cfg = AdaptConfig(seed=2, epochs=2, batch_size=16, iterations_per_epoch=3, lam=1e300)
+        with pytest.raises(AdaptationError, match="adaptation diverged in epoch 1: "):
+            run_adaptation(small_pretrained["params"], small_pretrained["train"],
+                           small_pretrained["pool"], small_pretrained["calib"], cfg)
+
     def test_fixed_iteration_count_honored(self, small_pretrained):
         cfg = AdaptConfig(seed=2, epochs=2, batch_size=16, iterations_per_epoch=3)
         _, trace = run_adaptation(

@@ -208,6 +208,7 @@ class TestConfigMachinery:
         "checkpoint_not_npz",
         "checkpoint_without_meta", "checkpoint_nan_weight", "adapt_checkpoint_nan_weight",
         "evaluate_empty_dataset", "pretrain_four_examples", "pretrain_empty_test_split",
+        "checkpoint_overflows", "adapt_pretraining_diverges", "adapt_contrastive_diverges",
     ])
     def test_expected_failure_exits_2_with_one_line(self, pipeline_dir, tmp_path, capsys, case):
         data_dir, missing = pipeline_dir["data"], str(tmp_path / "missing")
@@ -227,6 +228,9 @@ class TestConfigMachinery:
             arrays = {k: npz[k] for k in npz.files}
         no_meta, nan_weight = tmp_path / "no_meta.npz", tmp_path / "nan_weight.npz"
         np.savez(no_meta, **{k: v for k, v in arrays.items() if k != "meta"})
+        huge_weight = tmp_path / "huge_weight.npz"  # finite, but X @ embed @ hidden_w overflows
+        np.savez(huge_weight, **{**arrays, "embed": np.full_like(arrays["embed"], 1e300),
+                                 "hidden_w": np.full_like(arrays["hidden_w"], 1e300)})
         arrays["out_w"][0, 0] = np.nan
         np.savez(nan_weight, **arrays)
         evaluate = ["evaluate", "--data", str(pipeline_dir["pre"] / "source_test.jsonl")]
@@ -263,6 +267,7 @@ class TestConfigMachinery:
             "checkpoint_not_npz": evaluate + ["--checkpoint", text_file("ck.npz", "not an npz")],
             "checkpoint_without_meta": evaluate + ["--checkpoint", str(no_meta)],
             "checkpoint_nan_weight": evaluate + ["--checkpoint", str(nan_weight)],
+            "checkpoint_overflows": evaluate + ["--checkpoint", str(huge_weight)],
             "adapt_checkpoint_nan_weight": adapt + ["--set", f"model.checkpoint={nan_weight}"],
             "evaluate_empty_dataset": ["evaluate", "--checkpoint", str(pretrained),
                                        "--data", str(empty)],
@@ -271,6 +276,15 @@ class TestConfigMachinery:
             # 9 rows at these ratios give 8 train, 1 validation and 0 test rows
             "pretrain_empty_test_split": pretrain + [
                 "--set", f"data.source={nine}", "--set", "data.split_ratios=[0.7, 0.2, 0.1]",
+            ],
+            # Adam steps of 1e300 overflow the next forward's hidden pre-activation
+            "adapt_pretraining_diverges": adapt + [
+                "--set", "train.learning_rate=1e300", "--set", "train.max_epochs=1",
+                "--set", "adapt.epochs=1",
+            ],
+            # a 1e300 contrastive gradient overflows Adam's second moment
+            "adapt_contrastive_diverges": adapt + [
+                "--set", "adapt.lambda=1e300", "--set", "adapt.epochs=1",
             ],
         }[case]
         assert main(argv) == cli.EXIT_USAGE

@@ -155,6 +155,14 @@ class TestPreprocess:
             again = data.preprocess(" ".join(once))
             assert again == once
 
+    def test_strip_matches_per_character_join(self):
+        rng = np.random.default_rng(5)
+        alphabet = list("abcXYZ019-_.!# ") + ["é", "ß", "٣", "中", "\u0301", "²", "½", "Ⅻ", "🙂"]
+        tokens = ["", "é", "a-b", "٣", "abc", "123", "---"] + [
+            "".join(rng.choice(alphabet, size=rng.integers(0, 8))) for _ in range(2000)]
+        for token in tokens:
+            assert data._strip_non_alnum(token) == "".join(ch for ch in token if ch.isalnum())
+
 
 def naive_featurize(tokens, dim):
     """Independent dictionary-count oracle for unigram+bigram hashing."""

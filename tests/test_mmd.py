@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from shiftadapt import mmd
 from shiftadapt.mmd import (
     EmbeddingBatch,
     contrastive_grad,
@@ -196,3 +198,123 @@ class TestEmbeddingBatch:
             EmbeddingBatch(np.array([[np.inf, 0]]), np.array([0]))
         with pytest.raises(ValueError):
             EmbeddingBatch(np.zeros((1, 2)), np.array([2]))
+
+
+# Oracles: the whole-array forms that the blocked helpers replaced.
+def oracle_sq_dists(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def oracle_median_bandwidth(batch_a, batch_b):
+    stacked = np.vstack([batch_a.vectors, batch_b.vectors])
+    d2 = oracle_sq_dists(stacked, stacked)
+    med = float(np.median(d2[np.triu_indices(stacked.shape[0], k=1)]))
+    return med if med >= 1e-12 else 1.0
+
+
+def oracle_class_pair_weights(sl, tl):
+    w_ss = np.zeros((sl.size, sl.size))
+    w_tt = np.zeros((tl.size, tl.size))
+    w_st = np.zeros((sl.size, tl.size))
+    skipped = []
+    for c1, c2, coef in mmd._CONTRASTIVE_TERMS:
+        for part, xl, yl, w, part_coef in (
+            ("ss", sl, sl, w_ss, 1.0),
+            ("tt", tl, tl, w_tt, 1.0),
+            ("st", sl, tl, w_st, -2.0),
+        ):
+            mx = xl == c1
+            my = yl == c2
+            count = int(mx.sum()) * int(my.sum())
+            if count == 0:
+                skipped.append(f"d{c1}{c2}:{part}")
+            else:
+                w[np.ix_(mx, my)] += part_coef * coef / count
+    return w_ss, w_tt, w_st, tuple(skipped)
+
+
+SIZES = (1, 2, 7, 24, 193, 400)
+DIMS = (1, 8, 32, 65)
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def label_cases(rng, n, m):
+    """Mixed labels, a single-class source and a single-class target."""
+    return [
+        (rng.integers(0, 2, n), rng.integers(0, 2, m)),
+        (np.zeros(n, np.int64), rng.integers(0, 2, m)),
+        (rng.integers(0, 2, n), np.ones(m, np.int64)),
+    ]
+
+
+class TestBlockedEqualsWholeArray:
+    """The blocked distances keep every bit of the whole-array forms."""
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_sq_dists(self, d):
+        rng = np.random.default_rng(d)
+        for n in SIZES:
+            for m in SIZES:
+                a, b = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+                assert same_bits(mmd._sq_dists(a, b), oracle_sq_dists(a, b)), (n, m, d)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_median_bandwidth(self, d):
+        rng = np.random.default_rng(100 + d)
+        for n in SIZES:
+            for m in SIZES:
+                a = EmbeddingBatch(rng.normal(size=(n, d)), rng.integers(0, 2, n))
+                b = EmbeddingBatch(rng.normal(size=(m, d)), rng.integers(0, 2, m))
+                assert same_bits(median_bandwidth(a, b), oracle_median_bandwidth(a, b)), (n, m, d)
+
+    def test_class_pair_weights(self):
+        rng = np.random.default_rng(3)
+        for n in SIZES:
+            for m in SIZES:
+                for sl, tl in label_cases(rng, n, m):
+                    got = mmd._class_pair_weights(sl, tl)
+                    want = oracle_class_pair_weights(sl, tl)
+                    assert got[3] == want[3], (n, m)
+                    assert all(same_bits(g, w) for g, w in zip(got[:3], want[:3])), (n, m)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_loss_and_grad(self, d, monkeypatch):
+        rng = np.random.default_rng(200 + d)
+        cases = []
+        for k, (n, m) in enumerate((n, m) for n in SIZES for m in SIZES):
+            sl, tl = label_cases(rng, n, m)[k % 3]  # each labelling on a third of the shapes
+            S = EmbeddingBatch(rng.normal(size=(n, d)), sl)
+            T = EmbeddingBatch(rng.normal(size=(m, d)), tl)
+            gamma = float(rng.uniform(0.5, 2.0)) * d
+            cases.append((S, T, gamma, contrastive_loss(S, T, gamma),
+                          contrastive_grad(S, T, gamma)))
+        monkeypatch.setattr(mmd, "_sq_dists", oracle_sq_dists)
+        monkeypatch.setattr(mmd, "_class_pair_weights", oracle_class_pair_weights)
+        for S, T, gamma, loss, grad in cases:
+            shape = (len(S.labels), len(T.labels), d)
+            want_loss, want_grad = contrastive_loss(S, T, gamma), contrastive_grad(S, T, gamma)
+            assert same_bits(loss.value, want_loss.value), shape
+            assert loss.skipped == want_loss.skipped, shape
+            assert same_bits(grad.grad_source, want_grad.grad_source), shape
+            assert same_bits(grad.grad_target, want_grad.grad_target), shape
+            assert grad.skipped == want_grad.skipped, shape
+
+    @pytest.mark.parametrize("d", (32, 256))
+    def test_bandwidth_peak_memory_does_not_grow_with_width(self, d):
+        # The whole-array form held an (n + m)^2 * d difference, at
+        # d = 32 here (369 MB). The blocked form holds the upper triangle and one block.
+        rng = np.random.default_rng(d)
+        a = EmbeddingBatch(rng.normal(size=(600, d)), rng.integers(0, 2, 600))
+        b = EmbeddingBatch(rng.normal(size=(600, d)), rng.integers(0, 2, 600))
+        tracemalloc.start()
+        try:
+            median_bandwidth(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1200 ** 2 * 8

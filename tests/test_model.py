@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shiftadapt import adapt, data, model
-from shiftadapt.errors import ConfigError, DatasetError
+from shiftadapt.errors import AdaptationError, ConfigError, DatasetError
 from conftest import ba_on, make_scenario, same_params
 
 
@@ -77,6 +77,14 @@ class TestForward:
         p = model.init(64, 8, 4, seed=0)
         with pytest.raises(ValueError):
             model.forward(p, [toy_vec(), toy_vec(dim=128)])
+
+    def test_overflowing_preactivation_raises(self):
+        # tanh would map the overflowed pre-activation to a finite phi
+        p = model.init(64, 8, 4, seed=0)
+        p.embed[3] = 1e300
+        p.hidden_w[:] = 1e300
+        with pytest.raises(FloatingPointError, match="pre-activation"):
+            model.forward(p, [toy_vec()])
 
 
 class TestSoftmax:
@@ -249,6 +257,35 @@ class TestOptimizer:
 
         assert same_params(run(), run())
 
+    def test_in_place_step_matches_formula(self):
+        """30 steps on 30%-sparse gradients equal the allocating formula bit for bit."""
+        p = model.init(64, 8, 4, seed=0)
+        ref = p.copy()
+        m, v = model.ModelParams.zeros_like(p), model.ModelParams.zeros_like(p)
+        opt = model.Optimizer(1e-2, p)
+        rng = np.random.default_rng(9)
+        for t in range(1, 31):
+            g = model.ModelParams(*(rng.normal(size=b.shape) * (rng.random(b.shape) < 0.3)
+                                    for b in p.blocks()))
+            opt.step(p, g)
+            c1, c2 = 1.0 - model.ADAM_BETA1 ** t, 1.0 - model.ADAM_BETA2 ** t
+            for pb, gb, mb, vb in zip(ref.blocks(), g.blocks(), m.blocks(), v.blocks()):
+                mb *= model.ADAM_BETA1
+                mb += (1.0 - model.ADAM_BETA1) * gb
+                vb *= model.ADAM_BETA2
+                vb += (1.0 - model.ADAM_BETA2) * gb * gb
+                pb -= 1e-2 * (mb / c1) / (np.sqrt(vb / c2) + model.ADAM_EPS)
+        for got, want in zip((*p.blocks(), *opt.m.blocks(), *opt.v.blocks()),
+                             (*ref.blocks(), *m.blocks(), *v.blocks())):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_second_moment_overflow_raises(self):
+        p = model.init(16, 4, 4, seed=0)
+        g = model.ModelParams.zeros_like(p)
+        g.hidden_w[0, 0] = 1e300
+        with pytest.raises(FloatingPointError, match="second moment of hidden_w"):
+            model.Optimizer(1e-3, p).step(p, g)
+
 
 def unread_rows(params, *datasets):
     """Mask of the embedding rows that no featurized example of datasets reads."""
@@ -380,6 +417,13 @@ class TestPretrain:
         unlabeled = data.Dataset([data.Example("a b", None)], name="u")
         with pytest.raises(DatasetError):
             model.pretrain(params, unlabeled, val, model.TrainConfig())
+
+    def test_divergence_names_the_epoch(self):
+        source, _, _ = make_scenario(seed=11, n_source=60)
+        train, val, _ = data.split(source, (0.7, 0.1, 0.2), seed=0)
+        with pytest.raises(AdaptationError, match="pretraining diverged in epoch 1: "):
+            model.pretrain(model.init(256, 8, 8, seed=0), train, val,
+                           model.TrainConfig(learning_rate=1e300, max_epochs=2))
 
     def test_empty_validation_split_rejected(self):
         # With no validation example no epoch could beat the input model, so
