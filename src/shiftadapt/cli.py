@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,8 +25,6 @@ from . import metrics as metrics_mod
 from . import model as model_mod
 from .config import build, to_dict
 from .errors import AdaptationError, ConfigError, DatasetError, EmptyPseudoLabelSetError
-
-OUTPUT_ROOT_ENV = "SHIFTADAPT_OUTPUT_ROOT"
 
 EXIT_OK = 0
 EXIT_USAGE = 2  # bad config, bad or missing input file, unusable source
@@ -57,15 +54,14 @@ class DataConfig:
     target: Optional[str] = None
     calib: Optional[str] = None
     target_labels: Optional[str] = None
-    # A SynthConfig in dict form, kept as written so that resolved_config.json
-    # echoes it; a run config replaces it wholesale instead of merging into it.
-    synth: Optional[dict] = field(default_factory=default_synth_dict)
+    # A run config's synth replaces this default whole: merged, a synth that
+    # leaves out seed would take the default scenario's 7, not SynthConfig's 0.
+    synth: Optional[data_mod.SynthConfig] = field(
+        default_factory=lambda: data_mod.SynthConfig(**default_synth_dict()))
     calib_size: int = 200
     split_ratios: list[float] = field(default_factory=lambda: [0.7, 0.1, 0.2])
 
     def __post_init__(self):
-        if self.synth is not None:
-            build(data_mod.SynthConfig, self.synth, "data.synth")
         if self.calib_size < 1:
             raise ConfigError("data.calib_size must be positive")
         if len(self.split_ratios) != 3:
@@ -164,9 +160,6 @@ def load_config(path, overrides) -> dict:
 
 def _output_dir(run: RunConfig) -> Path:
     directory = Path(run.output.directory)
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    if root and not directory.is_absolute():
-        directory = Path(root) / directory
     directory.mkdir(parents=True, exist_ok=True)
     return directory
 
@@ -197,9 +190,9 @@ def _pretrain(run: RunConfig, train, val) -> model_mod.ModelParams:
 def cmd_synth(run: RunConfig) -> int:
     """Write source.jsonl, target.jsonl (unlabeled pool), target_labels.jsonl,
     and calib.jsonl for the configured synthetic scenario."""
-    if run.data.synth is None:
+    synth_cfg = run.data.synth
+    if synth_cfg is None:
         raise ConfigError("data.synth is required for the synth command")
-    synth_cfg = data_mod.SynthConfig.from_dict(run.data.synth)
     calib_size = run.data.calib_size
     if calib_size >= synth_cfg.n_target:
         raise ConfigError(

@@ -1,16 +1,16 @@
 """Config dataclasses to and from plain JSON-shaped dicts.
 
 A config dataclass is the single statement of its section's key names,
-types and defaults. `build` checks a dict against the field annotations and
-then calls the constructor, so `__post_init__` range checks still apply;
-`to_dict` is its inverse. A field whose metadata names a `key` appears in
-the dict under that name instead of its attribute name.
+types and defaults. `build` checks a dict against the field annotations with
+`check` and then calls the constructor, so `__post_init__` range checks
+still apply; `to_dict` is its inverse. A field whose metadata names a `key`
+appears in the dict under that name instead of its attribute name.
 """
 from __future__ import annotations
 
 import copy
 import dataclasses
-import math
+import sys
 import typing
 
 from .errors import ConfigError
@@ -20,11 +20,13 @@ def _key(f: dataclasses.Field) -> str:
     return f.metadata.get("key", f.name)
 
 
-def _check(tp, value, path: str):
+def check(tp, value, path: str):
     """Return value checked against annotation tp; build nested dataclasses.
 
-    An annotation this function does not know (e.g. a tuple of arrays) is
-    passed through for the constructor to validate.
+    The leaf types are int, str, bool and float, where a float is any int or
+    float within the float range, so NaN, the infinities and huge ints are
+    rejected; list and Optional nest them. An annotation outside these
+    raises ConfigError too.
     """
     if dataclasses.is_dataclass(tp):
         return build(tp, value, path)
@@ -33,21 +35,19 @@ def _check(tp, value, path: str):
         if value is None:
             return None
         (inner,) = [a for a in args if a is not type(None)]
-        return _check(inner, value, path)
+        return check(inner, value, path)
     if origin is list:
         if isinstance(value, list):
-            return [_check(args[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+            return [check(args[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
     elif tp is float:
-        # NaN and the infinities are rejected; an int is always finite (and
-        # math.isfinite would overflow on a huge one)
-        if (isinstance(value, int) and not isinstance(value, bool)
-                or isinstance(value, float) and math.isfinite(value)):
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max):
             return value
-    elif tp in (int, str, bool, dict):
+    elif tp in (int, str, bool):
         if isinstance(value, tp) and not (tp is int and isinstance(value, bool)):
             return value
     else:
-        return value
+        raise ConfigError(f"config key {path} has an unsupported annotation {tp!r}")
     raise ConfigError(f"config key {path} has invalid value {value!r}")
 
 
@@ -65,7 +65,7 @@ def build(cls, obj, path: str = ""):
     for key, f in by_key.items():
         dotted = f"{path}.{key}" if path else key
         if key in obj:
-            kwargs[f.name] = _check(hints[f.name], obj[key], dotted)
+            kwargs[f.name] = check(hints[f.name], obj[key], dotted)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"missing config key {dotted}")
     return cls(**kwargs)

@@ -7,12 +7,12 @@ oversized biases.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import check
 from .data import SparseVec
 from .errors import ConfigError, DatasetError
 from .model import ModelParams, forward, softmax
@@ -51,20 +51,17 @@ class CorrectionParams:
         pairs = {}
         for key in ("w", "b"):
             value = obj.get(key)
-            if not (isinstance(value, list) and len(value) == 2
-                    and all(_is_finite_number(v) for v in value)):
+            try:
+                pair = check(list[float], value, key)
+            except ConfigError:
+                pair = []
+            if len(pair) != 2:
                 raise ConfigError(f"correction {key!r} must be two finite numbers, got {value!r}")
-            pairs[key] = np.asarray(value, dtype=np.float64)
+            pairs[key] = np.asarray(pair, dtype=np.float64)
         discarded = obj.get("bias_discarded", False)
         if not isinstance(discarded, bool):
             raise ConfigError(f"correction 'bias_discarded' must be a boolean, got {discarded!r}")
         return cls(w=pairs["w"], b=pairs["b"], bias_discarded=discarded)
-
-
-def _is_finite_number(v) -> bool:
-    # bool is an int subclass; the bound excludes NaN, infinities and ints past float range
-    number = isinstance(v, (int, float)) and not isinstance(v, bool)
-    return number and abs(v) <= sys.float_info.max
 
 
 FIT_MAX_ITERS = 500

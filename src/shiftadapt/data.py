@@ -10,7 +10,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import build
 from .errors import ConfigError, DatasetError
 
 HASHTAG_TOKEN = "<hashtag>"
@@ -240,64 +239,54 @@ class SynthConfig:
     n_target: int
     source_prior: float
     target_prior: float
-    class_means_source: tuple[np.ndarray, np.ndarray]
-    class_means_target: tuple[np.ndarray, np.ndarray]
+    class_means_source: list[list[float]]
+    class_means_target: list[list[float]]
     noise_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        not_pairs = "class_means_source and class_means_target must each be a pair of vectors"
-        try:
-            self.class_means_source = tuple(
-                np.asarray(m, dtype=np.float64) for m in self.class_means_source
+        pairs = (self.class_means_source, self.class_means_target)
+        if any(len(pair) != 2 for pair in pairs):
+            raise ConfigError(
+                "class_means_source and class_means_target must each be a pair of vectors"
             )
-            self.class_means_target = tuple(
-                np.asarray(m, dtype=np.float64) for m in self.class_means_target
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(not_pairs) from exc
-        if len(self.class_means_source) != 2 or len(self.class_means_target) != 2:
-            raise ConfigError(not_pairs)
         if self.n_source <= 0 or self.n_target <= 0:
             raise ConfigError("n_source and n_target must be positive")
         for prior, label in ((self.source_prior, "source"), (self.target_prior, "target")):
             if not 0.0 < prior < 1.0:
                 raise ConfigError(f"{label}_prior must lie strictly inside (0,1), got {prior}")
-        dims = {
-            m.shape for m in self.class_means_source + self.class_means_target
-        }
-        if len(dims) != 1 or self.class_means_source[0].ndim != 1:
+        dims = {len(m) for pair in pairs for m in pair}
+        if len(dims) != 1:
             raise ConfigError("all four class mean vectors must share one dimension")
+        if dims == {0}:
+            raise ConfigError("class mean vectors must have at least one coordinate")
         if self.noise_scale <= 0:
             raise ConfigError(f"noise_scale must be positive, got {self.noise_scale}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SynthConfig":
-        """Build from a JSON-shaped dict; unknown, missing or mistyped keys raise ConfigError."""
-        return build(cls, obj, "synth")
-
-
-def _encode_vector(vec: np.ndarray) -> str:
-    # Level l of coordinate j becomes token f{j}p{l} or f{j}m{l}; rounding is
-    # numpy rint (ties to even) so the mapping is deterministic.
-    tokens = []
-    for j, v in enumerate(vec):
-        level = int(np.rint(v / QUANT_STEP))
-        sign = "m" if level < 0 else "p"
-        tokens.append(f"f{j}{sign}{abs(level)}")
-    return " ".join(tokens)
-
 
 def _gen_domain(rng, n, prior, means, noise_scale, name, warning):
     labels = (rng.random(n) < prior).astype(np.int64)
-    dim = means[0].size
-    noise = rng.standard_normal((n, dim))
+    means = np.asarray(means, dtype=np.float64)
+    # (means[labels] + noise_scale * noise) / QUANT_STEP, computed in place in
+    # the noise array so that a domain holds one (n, dim) array besides means[labels]
+    scaled = rng.standard_normal((n, means.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled *= noise_scale
+        scaled += means[labels]
+        scaled /= QUANT_STEP
+    if not np.all(np.isfinite(scaled)):
+        raise ConfigError(
+            f"{name} coordinates leave the float range; reduce the class means or noise_scale"
+        )
+    # Level l of coordinate j becomes token f{j}p{l} or f{j}m{l}; rounding is
+    # numpy rint (ties to even) so the mapping is deterministic.
     examples = []
-    for i in range(n):
-        vec = means[labels[i]] + noise_scale * noise[i]
-        examples.append(Example(_encode_vector(vec), int(labels[i])))
+    for levels, label in zip(np.rint(scaled, out=scaled), labels.tolist()):
+        text = " ".join(f"f{j}{'m' if v < 0 else 'p'}{abs(int(v))}"
+                        for j, v in enumerate(levels.tolist()))
+        examples.append(Example(text, label))
     return Dataset(examples, name=name, warning=warning)
 
 

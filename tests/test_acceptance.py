@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from shiftadapt import adapt, cli, correction, data, metrics, mmd, model
+from shiftadapt import adapt, cli, config, correction, data, metrics, mmd, model
 from shiftadapt.cli import main
 from shiftadapt.mmd import EmbeddingBatch
 from conftest import ba_on
@@ -24,7 +24,7 @@ def report(num, passed, detail):
 
 
 def default_scenario(seed):
-    cfg = data.SynthConfig.from_dict(cli.default_synth_dict(seed=seed))
+    cfg = config.build(data.SynthConfig, cli.default_synth_dict(seed=seed))
     source, target = data.gen_synthetic(cfg)
     calib = data.Dataset(target.examples[:200], name="calib")
     pool = data.Dataset(target.examples[200:], name="pool")

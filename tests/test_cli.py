@@ -1,14 +1,16 @@
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shiftadapt import cli, correction, data, metrics, model
+from shiftadapt import cli, config, correction, data, metrics, model
 from shiftadapt.cli import main
 from shiftadapt.errors import ConfigError
 
@@ -115,6 +117,44 @@ GOLDEN_RESOLVED = {
 }
 
 
+def flatten(cfg, path=""):
+    for key, value in cfg.items():
+        dotted = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from flatten(value, dotted)
+        else:
+            yield dotted
+
+
+def schema_leaves(cls, path=""):
+    """(dotted key, annotation) of each leaf under config dataclass cls;
+    Optional sections are walked into."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        key = f.metadata.get("key", f.name)
+        dotted = f"{path}.{key}" if path else key
+        tp = hints[f.name]
+        inner = [a for a in typing.get_args(tp) if a is not type(None)]
+        if typing.get_origin(tp) is typing.Union and len(inner) == 1 \
+                and dataclasses.is_dataclass(inner[0]):
+            tp = inner[0]
+        if dataclasses.is_dataclass(tp):
+            yield from schema_leaves(tp, dotted)
+        else:
+            yield dotted, tp
+
+
+def is_json_leaf(tp) -> bool:
+    """int, float, str or bool, or a list or Optional of one."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:
+        inner = [a for a in args if a is not type(None)]
+        return len(args) == 2 and len(inner) == 1 and is_json_leaf(inner[0])
+    if origin is list:
+        return is_json_leaf(args[0])
+    return tp in (int, float, str, bool)
+
+
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -140,17 +180,22 @@ class TestConfigMachinery:
         cfg_path = write_config(tmp_path, tmp_path / "x")
         assert main(["pretrain", "--config", str(cfg_path)]) == cli.EXIT_USAGE
 
-    def test_output_root_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
-        cfg_path = write_config(tmp_path, "rel_dir")
-        assert main(["synth", "--config", str(cfg_path)]) == 0
-        assert (tmp_path / "root" / "rel_dir" / "source.jsonl").exists()
-
     def test_defaults_are_schema_valid(self):
         cli.validate_config(cli.default_config())
 
+    def test_every_config_leaf_is_typed(self):
+        # Every key of the golden config is a leaf the schema types, so
+        # config.check, and a failure sweep over the annotations, reach it.
+        leaves = dict(schema_leaves(cli.RunConfig))
+        assert sorted(leaves) == sorted(flatten(GOLDEN_RESOLVED))
+        untyped = {key: tp for key, tp in leaves.items() if not is_json_leaf(tp)}
+        assert not untyped
+        for tp in (tuple[int, int], dict, np.ndarray):
+            with pytest.raises(ConfigError, match="unsupported annotation"):
+                config.check(tp, [1, 2], "key")
+
     def test_default_resolved_config_is_golden(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         assert main(["synth", "--set", "output.directory=golden"]) == 0
         text = (tmp_path / "golden" / "resolved_config.json").read_text(encoding="utf-8")
         assert text == json.dumps(GOLDEN_RESOLVED, indent=2, sort_keys=True) + "\n"
@@ -185,6 +230,18 @@ class TestConfigMachinery:
         "train.seed=-1",
         "adapt.seed=-1",
         "data.synth.seed=-1",
+        # class means that are not finite or whose quantized coordinates
+        # overflow, of the test scenario's dimension 8
+        "data.synth.class_means_source=[[NaN, -1, -1, -1, -1, -1, -1, -1], [1, 1, 1, 1, 1, 1, 1, 1]]",
+        "data.synth.class_means_source=[[-1, -1, -1, -1, -1, -1, -1, -1], [Infinity, 1, 1, 1, 1, 1, 1, 1]]",
+        "data.synth.class_means_target=[[1e308, -2, -2, -2, -2, -2, -2, -2], [0, 0, 0, 0, 0, 0, 0, 0]]",
+        # a noise scale that overflows the coordinates, and integers past the float range
+        "data.synth.noise_scale=1e308",
+        pytest.param("data.synth.noise_scale=1" + "0" * 400, id="data.synth.noise_scale=10**400"),
+        pytest.param("train.learning_rate=1" + "0" * 400, id="train.learning_rate=10**400"),
+        # zero-length class mean vectors
+        'data.synth={"n_source": 300, "n_target": 360, "source_prior": 0.5, "target_prior": 0.9, '
+        '"class_means_source": [[], []], "class_means_target": [[], []]}',
     ])
     def test_bad_key_or_type_exits_2_with_one_line(self, tmp_path, capsys, override):
         cfg_path = write_config(tmp_path, tmp_path / "x")
@@ -204,7 +261,8 @@ class TestConfigMachinery:
     @pytest.mark.parametrize("case", [
         "config_file", "dataset", "checkpoint", "evaluate_checkpoint", "single_class_source",
         "correction_not_json", "correction_without_b", "correction_b_not_numeric",
-        "correction_w_three_entries", "correction_w_nan", "correction_discarded_with_bias",
+        "correction_w_three_entries", "correction_w_nan", "correction_w_huge_int",
+        "correction_discarded_with_bias",
         "checkpoint_not_npz",
         "checkpoint_without_meta", "checkpoint_nan_weight", "adapt_checkpoint_nan_weight",
         "evaluate_empty_dataset", "pretrain_four_examples", "pretrain_empty_test_split",
@@ -262,6 +320,7 @@ class TestConfigMachinery:
             "correction_b_not_numeric": with_correction('{"w": [1.0, 1.0], "b": ["x", 0.0]}'),
             "correction_w_three_entries": with_correction('{"w": [1, 1, 1], "b": [0, 0]}'),
             "correction_w_nan": with_correction('{"w": [NaN, 1.0], "b": [0.0, 0.0]}'),
+            "correction_w_huge_int": with_correction('{"w": [1%s, 1.0], "b": [0.0, 0.0]}' % ("0" * 400)),
             "correction_discarded_with_bias": with_correction(
                 '{"w": [1, 1], "b": [0, 50], "bias_discarded": true}'),
             "checkpoint_not_npz": evaluate + ["--checkpoint", text_file("ck.npz", "not an npz")],
@@ -543,3 +602,19 @@ class TestEntryPoint:
         choices = re.search(r"^usage: shiftadapt\b[^{]*\{([^}]*)\}", proc.stdout, re.M)
         assert choices, proc.stdout
         assert SUBCOMMANDS <= set(choices.group(1).split(",")), proc.stdout
+
+
+class TestReadme:
+    def test_python_examples_run(self, tmp_path):
+        """The README's two Python blocks, the second continuing the first,
+        run against this checkout's `src` with numpy warnings as errors."""
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+        assert len(blocks) == 2
+        pythonpath = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", "\n".join(blocks)],
+            capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from shiftadapt import data
+from shiftadapt import config, data
 from shiftadapt.errors import ConfigError, DatasetError
 
 
@@ -294,17 +294,19 @@ class TestGenSynthetic:
             synth_cfg(noise_scale=0.0)
         with pytest.raises(ConfigError):
             synth_cfg(class_means_target=([0.0], [1.0, 2.0]))
+        with pytest.raises(ConfigError, match="at least one coordinate"):
+            synth_cfg(class_means_source=([], []), class_means_target=([], []))
 
     def test_from_dict_rejects_unknown_keys(self):
         good = {
             "n_source": 10, "n_target": 10, "source_prior": 0.5, "target_prior": 0.5,
             "class_means_source": [[0.0], [1.0]], "class_means_target": [[0.0], [1.0]],
         }
-        data.SynthConfig.from_dict(good)
+        config.build(data.SynthConfig, good)
         with pytest.raises(ConfigError, match="unknown"):
-            data.SynthConfig.from_dict({**good, "extra": 1})
+            config.build(data.SynthConfig, {**good, "extra": 1})
         with pytest.raises(ConfigError, match="missing"):
-            data.SynthConfig.from_dict({"n_source": 10})
+            config.build(data.SynthConfig, {"n_source": 10})
 
 
 class TestDataset:
