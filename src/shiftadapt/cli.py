@@ -164,10 +164,13 @@ def _output_dir(run: RunConfig) -> Path:
     return directory
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def _dump_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(obj) + "\n")
 
 
 def _write_resolved_config(run: RunConfig, out_dir: Path) -> None:
@@ -199,7 +202,6 @@ def cmd_synth(run: RunConfig) -> int:
             f"data.calib_size ({calib_size}) must be smaller than n_target "
             f"({synth_cfg.n_target})"
         )
-    out_dir = _output_dir(run)
     source, target = data_mod.gen_synthetic(synth_cfg)
     for ds in (source, target):
         if ds.warning:
@@ -212,23 +214,21 @@ def cmd_synth(run: RunConfig) -> int:
     calib = data_mod.Dataset([target.examples[i] for i in calib_idx], name="synthetic-calib")
     pool = data_mod.Dataset([target.examples[i] for i in pool_idx], name="synthetic-target")
 
+    out_dir = _output_dir(run)
     data_mod.write_jsonl(source, out_dir / "source.jsonl")
     data_mod.write_jsonl(pool, out_dir / "target.jsonl", drop_labels=True)
     data_mod.write_jsonl(pool, out_dir / "target_labels.jsonl")
     data_mod.write_jsonl(calib, out_dir / "calib.jsonl")
     _write_resolved_config(run, out_dir)
 
-    print(json.dumps(
-        {
-            "source_prior": source.class_prior(),
-            "target_prior": pool.class_prior(),
-            "calib_prior": calib.class_prior(),
-            "n_source": len(source),
-            "n_target": len(pool),
-            "n_calib": len(calib),
-        },
-        indent=2, sort_keys=True,
-    ))
+    print(_json_text({
+        "source_prior": source.class_prior(),
+        "target_prior": pool.class_prior(),
+        "calib_prior": calib.class_prior(),
+        "n_source": len(source),
+        "n_target": len(pool),
+        "n_calib": len(calib),
+    }))
     return EXIT_OK
 
 
@@ -254,22 +254,21 @@ def _evaluate(params, feats, truth, cp=None) -> metrics_mod.MetricsReport:
 
 def cmd_pretrain(run: RunConfig) -> int:
     """Train on the source train split, report source test metrics, write a checkpoint."""
-    out_dir = _output_dir(run)
     train, val, test = _load_source_splits(run)
     trained = _pretrain(run, train, val)
-    report = _evaluate(trained, *_features_and_labels(test, trained.hash_dim))
+    report = to_dict(_evaluate(trained, *_features_and_labels(test, trained.hash_dim)))
 
+    out_dir = _output_dir(run)
     model_mod.save_checkpoint(trained, out_dir / "pretrained.npz")
     data_mod.write_jsonl(test, out_dir / "source_test.jsonl")
-    _dump_json(report.to_dict(), out_dir / "pretrain_metrics.json")
+    _dump_json(report, out_dir / "pretrain_metrics.json")
     _write_resolved_config(run, out_dir)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(_json_text(report))
     return EXIT_OK
 
 
 def cmd_adapt(run: RunConfig) -> int:
     """Run stage 1 + stage 2 and write the adapted checkpoint, trace, and summary."""
-    out_dir = _output_dir(run)
     train, val, _test = _load_source_splits(run)
     target = data_mod.load_jsonl(_require_path(run, "target"))
     calib = data_mod.load_jsonl(_require_path(run, "calib"))
@@ -300,7 +299,8 @@ def cmd_adapt(run: RunConfig) -> int:
         print("warning: no adaptation epoch beat the input model on calibration BA; "
               "adapted.npz is the input model", file=sys.stderr)
 
-    last_epoch = trace.epochs[-1]
+    # The top-level correction repeats the last epoch's: it is the file
+    # that evaluate --correction reads.
     summary = {
         "ba_before": ba_before,
         "ba_after": ba_after,
@@ -308,33 +308,17 @@ def cmd_adapt(run: RunConfig) -> int:
         "eval_set": eval_name,
         "best_epoch": trace.best_epoch,
         "best_calib_ba": trace.best_calib_ba,
-        "tau": run.adapt.tau,
-        "lambda": run.adapt.lam,
-        "epochs": run.adapt.epochs,
-        "label_correction": run.adapt.label_correction,
-        "correction": last_epoch.correction,
-        "bias_discarded": last_epoch.correction["bias_discarded"],
-        "n_pseudo_final": last_epoch.n_pseudo,
-        "pseudo_prior_final": last_epoch.pseudo_prior,
+        "correction": trace.epochs[-1].correction,
         "replacement_batches": trace.replacement_batches(),
-        "epoch_detail": [
-            {
-                "epoch": e.epoch,
-                "n_pseudo": e.n_pseudo,
-                "pseudo_prior": e.pseudo_prior,
-                "pseudo_accuracy": e.pseudo_accuracy,
-                "calib_ba": e.calib_ba,
-                "bias_discarded": e.correction["bias_discarded"],
-            }
-            for e in trace.epochs
-        ],
+        "epoch_detail": [to_dict(e) for e in trace.epochs],
     }
 
+    out_dir = _output_dir(run)
     model_mod.save_checkpoint(adapted, out_dir / "adapted.npz")
     trace.write_csv(out_dir / "trace.csv")
     _dump_json(summary, out_dir / "summary.json")
     _write_resolved_config(run, out_dir)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(_json_text(summary))
     return EXIT_OK
 
 
@@ -352,13 +336,10 @@ def cmd_evaluate(checkpoint, dataset_path, correction_path=None, out_path=None) 
             except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
                 raise ConfigError(f"correction file {correction_path} is not JSON: {exc}") from exc
         cp = correction_mod.CorrectionParams.from_dict(obj)
-    report = _evaluate(params, *_features_and_labels(dataset, params.hash_dim), cp)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    report = to_dict(_evaluate(params, *_features_and_labels(dataset, params.hash_dim), cp))
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
-    print(text)
+        _dump_json(report, out_path)
+    print(_json_text(report))
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import reprlib
 import sys
 import typing
 
@@ -48,7 +49,7 @@ def check(tp, value, path: str):
             return value
     else:
         raise ConfigError(f"config key {path} has an unsupported annotation {tp!r}")
-    raise ConfigError(f"config key {path} has invalid value {value!r}")
+    raise ConfigError(f"config key {path} has invalid value {reprlib.repr(value)}")
 
 
 def build(cls, obj, path: str = ""):
@@ -72,7 +73,9 @@ def build(cls, obj, path: str = ""):
 
 
 def to_dict(obj) -> dict:
-    """The dict form of a config dataclass, as `build` reads it."""
+    """The dict form of any dataclass, config or record; for a config, the
+    form `build` reads. Every JSON file the CLI writes from a dataclass is
+    this dict."""
     out = {}
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)

@@ -7,6 +7,7 @@ oversized biases.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -56,11 +57,13 @@ class CorrectionParams:
             except ConfigError:
                 pair = []
             if len(pair) != 2:
-                raise ConfigError(f"correction {key!r} must be two finite numbers, got {value!r}")
+                raise ConfigError(f"correction {key!r} must be two finite numbers, "
+                                  f"got {reprlib.repr(value)}")
             pairs[key] = np.asarray(pair, dtype=np.float64)
         discarded = obj.get("bias_discarded", False)
         if not isinstance(discarded, bool):
-            raise ConfigError(f"correction 'bias_discarded' must be a boolean, got {discarded!r}")
+            raise ConfigError(f"correction 'bias_discarded' must be a boolean, "
+                              f"got {reprlib.repr(discarded)}")
         return cls(w=pairs["w"], b=pairs["b"], bias_discarded=discarded)
 
 

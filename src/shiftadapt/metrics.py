@@ -30,17 +30,6 @@ class MetricsReport:
     support_neg: int
     degenerate: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "ba": self.ba,
-            "accuracy": self.accuracy,
-            "f1": self.f1,
-            "n": self.n,
-            "support_pos": self.support_pos,
-            "support_neg": self.support_neg,
-            "degenerate": list(self.degenerate),
-        }
-
 
 def confusion(preds, truth) -> ConfusionMatrix:
     """Count tp/tn/fp/fn over parallel 0/1 labels (lists or arrays, bools and 1.0 too)."""

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from shiftadapt import cli, config, correction, data, metrics, model
+from shiftadapt.adapt import EpochRecord
 from shiftadapt.cli import main
 from shiftadapt.errors import ConfigError
 
@@ -158,6 +159,7 @@ def is_json_leaf(tp) -> bool:
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestConfigMachinery:
@@ -246,7 +248,9 @@ class TestConfigMachinery:
     def test_bad_key_or_type_exits_2_with_one_line(self, tmp_path, capsys, override):
         cfg_path = write_config(tmp_path, tmp_path / "x")
         assert main(["synth", "--config", str(cfg_path), "--set", override]) == cli.EXIT_USAGE
-        assert_one_line_error(capsys)
+        err = assert_one_line_error(capsys)
+        assert len(err) < 120, err  # a 401-digit value is echoed shortened
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("override", [
         "adapt.learning_rate=true",
@@ -347,7 +351,10 @@ class TestConfigMachinery:
             ],
         }[case]
         assert main(argv) == cli.EXIT_USAGE
-        assert_one_line_error(capsys)
+        err = assert_one_line_error(capsys)
+        if case == "correction_w_huge_int":
+            assert len(err) < 120, err
+        assert not (tmp_path / "p").exists() and not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +424,14 @@ class TestAdapt:
         assert 0.0 <= summary["ba_after"] <= 1.0  # the gain bound is asserted in acceptance
         assert len(summary["correction"]["w"]) == 2
         assert summary["epoch_detail"][0]["n_pseudo"] > 0
+        # each value once: the run's settings are in resolved_config.json,
+        # and an epoch's entry is its EpochRecord
+        assert set(summary) == {"ba_before", "ba_after", "ba_gain", "eval_set", "best_epoch",
+                                "best_calib_ba", "correction", "replacement_batches",
+                                "epoch_detail"}
+        record_keys = {f.name for f in dataclasses.fields(EpochRecord)}
+        assert all(set(e) == record_keys for e in summary["epoch_detail"])
+        assert summary["correction"] == summary["epoch_detail"][-1]["correction"]
         assert summary["best_epoch"] > 0 and "warning:" not in capsys.readouterr().err
 
     def test_warns_when_no_epoch_beats_the_input_model(self, pipeline_dir, tmp_path, capsys):
@@ -468,6 +483,7 @@ class TestAdapt:
         rc = main(with_data_paths(args, pipeline_dir["data"]))
         assert rc == cli.EXIT_EMPTY_PSEUDO
         assert "lower tau" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pretrains_when_no_checkpoint(self, pipeline_dir, tmp_path):
         out = tmp_path / "nockpt"

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from shiftadapt.config import to_dict
 from shiftadapt.metrics import (
     ConfusionMatrix,
     balanced_accuracy,
@@ -133,5 +136,6 @@ class TestProperties:
 class TestSerialization:
     def test_json_dict(self):
         rep = metrics_report(ConfusionMatrix(tp=8, tn=6, fp=2, fn=4))
-        d = rep.to_dict()
+        # the JSON the CLI writes: the tuple of flags becomes a list
+        d = json.loads(json.dumps(to_dict(rep)))
         assert d["n"] == 20 and d["support_pos"] == 12 and d["degenerate"] == []
