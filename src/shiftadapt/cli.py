@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -122,7 +123,7 @@ def _deep_merge(base: dict, override: dict, path="") -> dict:
 def _apply_overrides(cfg: dict, overrides) -> dict:
     for item in overrides or []:
         if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
+            raise ConfigError(f"--set expects key=value, got {reprlib.repr(item)}")
         dotted, raw = item.split("=", 1)
         try:
             value = json.loads(raw)

@@ -60,7 +60,8 @@ def build(cls, obj, path: str = ""):
     by_key = {_key(f): f for f in dataclasses.fields(cls)}
     unknown = set(obj) - set(by_key)
     if unknown:
-        raise ConfigError(f"unknown config key(s) under {path or '<root>'}: {sorted(unknown)}")
+        raise ConfigError(f"unknown config key(s) under {path or '<root>'}: "
+                          f"{reprlib.repr(sorted(unknown))}")
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, f in by_key.items():

@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -80,7 +80,8 @@ def load_jsonl(path) -> Dataset:
 
     Line order is preserved. Malformed lines and invalid labels raise
     DatasetError naming the offending line. An example whose text is empty
-    after preprocessing is rejected at load time.
+    after preprocessing is rejected at load time; the check stops at the
+    text's first token.
     """
     path = Path(path)
     examples: list[Example] = []
@@ -98,7 +99,7 @@ def load_jsonl(path) -> Dataset:
             text = obj["text"]
             if not isinstance(text, str):
                 raise DatasetError(f"{path}:{lineno}: 'text' must be a string")
-            if not preprocess(text):
+            if next(_tokens(text), None) is None:
                 raise DatasetError(
                     f"{path}:{lineno}: text is empty after preprocessing"
                 )
@@ -153,6 +154,29 @@ def _strip_non_alnum(token: str) -> str:
     return "".join(ch for ch in token if ch.isalnum())
 
 
+def _tokens(text: str) -> Iterator[str]:
+    for raw in text.lower().split():
+        # Every marker and prefix below holds a non-alphanumeric character,
+        # and stripping leaves an alphanumeric token unchanged.
+        if raw.isalnum():
+            yield raw
+        elif raw in _MARKERS:
+            yield raw
+        elif raw.startswith("#"):
+            yield HASHTAG_TOKEN
+            bare = _strip_non_alnum(raw[1:])
+            if bare:
+                yield bare
+        elif raw.startswith("@"):
+            yield MENTION_TOKEN
+        elif raw.startswith(_URL_PREFIXES):
+            yield URL_TOKEN
+        else:
+            bare = _strip_non_alnum(raw)
+            if bare:
+                yield bare
+
+
 def preprocess(text: str) -> list[str]:
     """Lowercase, whitespace-split, and normalize social-media artifacts.
 
@@ -161,35 +185,21 @@ def preprocess(text: str) -> list[str]:
     are stripped. Marker tokens pass through unchanged, which makes the
     function idempotent on its own space-joined output.
     """
-    tokens: list[str] = []
-    for raw in text.lower().split():
-        if raw in _MARKERS:
-            tokens.append(raw)
-        elif raw.startswith("#"):
-            tokens.append(HASHTAG_TOKEN)
-            bare = _strip_non_alnum(raw[1:])
-            if bare:
-                tokens.append(bare)
-        elif raw.startswith("@"):
-            tokens.append(MENTION_TOKEN)
-        elif raw.startswith(_URL_PREFIXES):
-            tokens.append(URL_TOKEN)
-        else:
-            bare = _strip_non_alnum(raw)
-            if bare:
-                tokens.append(bare)
-    return tokens
+    return list(_tokens(text))
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_BIGRAM_JOIN = "\x1f"
+_BIGRAM_JOIN = b"\x1f"
 
 
-def fnv1a_64(data: bytes) -> int:
-    """64-bit FNV-1a hash; platform- and run-independent by construction."""
-    h = _FNV_OFFSET
+def fnv1a_64(data: bytes, h: int = _FNV_OFFSET) -> int:
+    """64-bit FNV-1a hash; platform- and run-independent by construction.
+
+    FNV-1a's state is its hash, so passing the hash of a as h continues it:
+    fnv1a_64(b, fnv1a_64(a)) == fnv1a_64(a + b).
+    """
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
@@ -209,15 +219,21 @@ def featurize(tokens: Sequence[str], dim: int) -> SparseVec:
         return SparseVec(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), dim)
     mask = dim - 1
     counts: dict[int, int] = {}
+    prev = None
     for tok in tokens:
-        idx = fnv1a_64(tok.encode("utf-8")) & mask
+        encoded = tok.encode("utf-8")
+        h = fnv1a_64(encoded)
+        idx = h & mask
         counts[idx] = counts.get(idx, 0) + 1
-    for first, second in zip(tokens, tokens[1:]):
-        idx = fnv1a_64((first + _BIGRAM_JOIN + second).encode("utf-8")) & mask
-        counts[idx] = counts.get(idx, 0) + 1
+        if prev is not None:
+            # the hash of prev_tok + "\x1f" + tok, continued from prev_tok's
+            idx = fnv1a_64(encoded, fnv1a_64(_BIGRAM_JOIN, prev)) & mask
+            counts[idx] = counts.get(idx, 0) + 1
+        prev = h
     scale = 1.0 / math.sqrt(len(tokens))
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] * scale for i in sorted(counts)], dtype=np.float64)
+    keys = sorted(counts)
+    indices = np.array(keys, dtype=np.int64)
+    values = np.array([counts[i] * scale for i in keys], dtype=np.float64)
     return SparseVec(indices, values, dim)
 
 

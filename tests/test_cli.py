@@ -241,6 +241,9 @@ class TestConfigMachinery:
         "data.synth.noise_scale=1e308",
         pytest.param("data.synth.noise_scale=1" + "0" * 400, id="data.synth.noise_scale=10**400"),
         pytest.param("train.learning_rate=1" + "0" * 400, id="train.learning_rate=10**400"),
+        # a long override without "=", and a long unknown key
+        pytest.param("x" * 500, id="500 characters without ="),
+        pytest.param("adapt." + "x" * 500 + "=1", id="adapt.<500 characters>=1"),
         # zero-length class mean vectors
         'data.synth={"n_source": 300, "n_target": 360, "source_prior": 0.5, "target_prior": 0.9, '
         '"class_means_source": [[], []], "class_means_target": [[], []]}',

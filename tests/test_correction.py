@@ -110,6 +110,32 @@ def fit_on_logits(logits, labels):
     return correction._descend(np.asarray(logits, dtype=np.float64), np.asarray(labels), True)
 
 
+def matrix_mean_nll(logits, labels, w, b):
+    """The corrected mean NLL on the (n, 2) matrix, with row reductions and a
+    gather: the reference the two-column form is compared against."""
+    u = logits * w + b
+    u = u - u.max(axis=1, keepdims=True)
+    logp = u - np.log(np.exp(u).sum(axis=1, keepdims=True))
+    return float(-logp[np.arange(len(labels)), labels].mean())
+
+
+class TestCorrectedMeanNll:
+    def test_two_column_form_is_the_matrix_form_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for case in range(600):
+            n = int(rng.integers(1, 250))
+            logits = rng.standard_normal((n, 2)) * (1e2 if case % 3 == 0 else 3.0)
+            if case % 4 == 0:
+                labels = np.full(n, case // 4 % 2, dtype=np.int64)
+            else:
+                labels = rng.integers(0, 2, n)
+            w = rng.standard_normal(2) * 2.0
+            b = rng.standard_normal(2) * 2.0
+            got = correction._corrected_mean_nll(logits, labels, w, b)
+            want = matrix_mean_nll(logits, labels, w, b)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), case
+
+
 class TestFitCorrection:
     def test_calibrated_model_barely_changes(self):
         logits, labels = calibrated_fixture()

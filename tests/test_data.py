@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -49,6 +50,20 @@ class TestLoadJsonl:
         write_lines(p, ['{"text":"!!!","label":0}'])
         with pytest.raises(DatasetError, match="empty after preprocessing"):
             data.load_jsonl(p)
+
+    @pytest.mark.parametrize("text, kept", [
+        ("!!! ...", False), ("", False), ("  \t ", False),
+        ("#", True), ("@", True), ("<url>", True), ("ok", True), ("!!! ok", True),
+    ])
+    def test_rejects_exactly_the_texts_preprocess_empties(self, tmp_path, text, kept):
+        assert bool(data.preprocess(text)) is kept
+        p = tmp_path / "d.jsonl"
+        write_lines(p, [json.dumps({"text": text, "label": 1})])
+        if kept:
+            assert data.load_jsonl(p).examples == [data.Example(text, 1)]
+        else:
+            with pytest.raises(DatasetError, match="empty after preprocessing"):
+                data.load_jsonl(p)
 
     def test_reload_is_stable(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -164,6 +179,72 @@ class TestPreprocess:
             assert data._strip_non_alnum(token) == "".join(ch for ch in token if ch.isalnum())
 
 
+def branch_order_preprocess(text):
+    """The tokenizer's rules in their original order, without the
+    alphanumeric fast path: the reference that preprocess is compared against."""
+    tokens = []
+    for raw in text.lower().split():
+        if raw in ("<hashtag>", "<mention>", "<url>"):
+            tokens.append(raw)
+        elif raw.startswith("#"):
+            tokens.append("<hashtag>")
+            bare = "".join(ch for ch in raw[1:] if ch.isalnum())
+            if bare:
+                tokens.append(bare)
+        elif raw.startswith("@"):
+            tokens.append("<mention>")
+        elif raw.startswith(("http://", "https://", "www.")):
+            tokens.append("<url>")
+        else:
+            bare = "".join(ch for ch in raw if ch.isalnum())
+            if bare:
+                tokens.append(bare)
+    return tokens
+
+
+class TestPreprocessBranchOrder:
+    PIECES = list("aZ9#@<>:/.-_!") + ["é", "٣", "Ⅻ", "ß", "中", "www.", "http://", "https://",
+                                       "<url>", "<hashtag>", "<mention>", "url", "hashtag"]
+
+    def test_matches_reference_on_random_raw_tokens(self):
+        rng = np.random.default_rng(11)
+        raws = ["".join(rng.choice(self.PIECES, size=rng.integers(1, 7))) for _ in range(3000)]
+        for raw in raws:
+            assert data.preprocess(raw) == branch_order_preprocess(raw), raw
+        text = " ".join(raws)
+        assert data.preprocess(text) == branch_order_preprocess(text)
+
+    def test_markers_and_prefixes_are_never_alphanumeric(self):
+        # the alphanumeric fast path is exact only because of this
+        pieces = (*data._MARKERS, "#", "@", *data._URL_PREFIXES)
+        assert not any(piece.isalnum() for piece in pieces)
+
+
+class TestFnv1a:
+    @pytest.mark.parametrize("raw, expected", [
+        (b"", 0xCBF29CE484222325),
+        (b"a", 0xAF63DC4C8601EC8C),
+        (b"foobar", 0x85944171F73967E8),
+    ])
+    def test_published_known_answers(self, raw, expected):
+        assert data.fnv1a_64(raw) == expected
+
+    def test_continues_from_a_previous_hash(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            a = rng.bytes(int(rng.integers(0, 12)))
+            b = rng.bytes(int(rng.integers(0, 12)))
+            assert data.fnv1a_64(a + b) == data.fnv1a_64(b, data.fnv1a_64(a))
+
+    def test_long_token_is_linear_time(self):
+        # masking every byte keeps the state at 64 bits; reducing once at the
+        # end gives the same value but multiplies ever longer integers
+        start = time.perf_counter()
+        sv = data.featurize(["a" * 50_000], dim=512)
+        assert time.perf_counter() - start < 1.0
+        assert sv.indices.tolist() == [data.fnv1a_64(b"a" * 50_000) % 512]
+
+
 def naive_featurize(tokens, dim):
     """Independent dictionary-count oracle for unigram+bigram hashing."""
     counts = {}
@@ -198,13 +279,14 @@ class TestFeaturize:
 
     def test_matches_dictionary_oracle(self):
         rng = np.random.default_rng(3)
-        vocab = [f"w{i}" for i in range(30)]
-        for _ in range(25):
-            toks = list(rng.choice(vocab, size=rng.integers(1, 20)))
-            sv = data.featurize(toks, dim=512)
-            oracle = naive_featurize(toks, 512)
+        vocab = [f"w{i}" for i in range(30)] + ["é", "naïve", "٣٤", "中文", "Ⅻ", "<url>"]
+        for dim in (512, 2**18) * 40:
+            toks = [str(t) for t in rng.choice(vocab, size=rng.integers(1, 20))]
+            sv = data.featurize(toks, dim=dim)
+            oracle = naive_featurize(toks, dim)
             assert sv.indices.tolist() == list(oracle)
-            assert sv.values.tolist() == pytest.approx(list(oracle.values()), abs=0)
+            expected = np.array(list(oracle.values()), dtype=np.float64)
+            assert sv.values.tobytes() == expected.tobytes()
 
     def test_indices_sorted_unique_in_range(self):
         sv = data.featurize(["a", "b", "c", "a", "b"], dim=64)

@@ -1,8 +1,13 @@
-"""Every name a shiftadapt module imports is used in that module.
+"""Every name a shiftadapt module imports is used in that module, and no
+module memoizes.
 
-No linter is a declared dependency, so this is the unused-import check, on
-the standard library's ast alone. The package's __init__.py is exempt: its
-imports are the public re-exports.
+No linter is a declared dependency, so these are checks on the standard
+library's ast alone. The package's __init__.py is exempt from the import
+check: its imports are the public re-exports.
+
+A memo (functools.cache, lru_cache, cached_property) would raise peak memory
+and, in a process that runs several pipelines, carry work from one run to the
+next, so the library keeps no state between calls.
 """
 import ast
 from pathlib import Path
@@ -44,3 +49,35 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+MEMOS = frozenset({"cache", "lru_cache", "cached_property"})
+
+
+def memo_uses(source: str) -> list[str]:
+    tree = ast.parse(source)
+    found = []
+    functools_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            functools_names |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name in MEMOS]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in MEMOS
+                and isinstance(node.value, ast.Name) and node.value.id in functools_names):
+            found.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return found
+
+
+def test_the_check_sees_a_memo():
+    assert memo_uses("from functools import lru_cache, reduce\n") == ["lru_cache (line 1)"]
+    assert memo_uses("import functools as ft\n@ft.cache\ndef f(): ...\n") == ["ft.cache (line 2)"]
+    assert memo_uses("import functools\nfunctools.cached_property\n") \
+        == ["functools.cached_property (line 2)"]
+    assert memo_uses("import functools\nfunctools.reduce\ncache = {}\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_keeps_no_memo(path):
+    assert memo_uses(path.read_text(encoding="utf-8")) == []
