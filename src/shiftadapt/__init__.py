@@ -39,7 +39,9 @@ from .mmd import (
     EmbeddingBatch,
     contrastive_grad,
     contrastive_loss,
+    kernel_blocks,
     median_bandwidth,
+    pairwise_sq_dists,
 )
 from .model import (
     ForwardRecord,

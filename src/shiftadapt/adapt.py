@@ -18,7 +18,8 @@ import numpy as np
 from .correction import CorrectionParams, fit_correction, pseudo_label
 from .data import Dataset, featurize_dataset
 from .errors import AdaptationError, ConfigError, DatasetError, EmptyPseudoLabelSetError
-from .mmd import EmbeddingBatch, contrastive_grad, contrastive_loss, median_bandwidth
+from .mmd import (EmbeddingBatch, contrastive_grad, contrastive_loss, kernel_blocks,
+                  median_bandwidth, pairwise_sq_dists)
 from .model import ModelParams, Optimizer, backward, compact, expand, forward, logits_ba, nll_head
 
 
@@ -219,16 +220,22 @@ def run_adaptation(
                 nll_total = 0.0 + float(np.cumsum(terms)[-1])
 
                 # Contrastive head on the phi representations; median-heuristic gamma
-                # per batch pair.
+                # per batch pair. One distance pass feeds gamma, then the kernels
+                # and weights that the value and the gradient share.
                 s_emb = EmbeddingBatch(rec.phi[:n_s], s_labels)
                 t_emb = EmbeddingBatch(rec.phi[n_s:], t_labels)
-                gamma = median_bandwidth(s_emb, t_emb)
-                closs = contrastive_loss(s_emb, t_emb, gamma)
+                dists = pairwise_sq_dists(s_emb, t_emb)
+                gamma = median_bandwidth(s_emb, t_emb, dists)
+                blocks = kernel_blocks(s_emb, t_emb, gamma, dists)
+                closs = contrastive_loss(s_emb, t_emb, blocks)
 
                 grad_phi = None
                 if cfg.lam != 0.0:
-                    grads_c = contrastive_grad(s_emb, t_emb, gamma)
+                    grads_c = contrastive_grad(s_emb, t_emb, blocks)
                     grad_phi = cfg.lam * np.vstack([grads_c.grad_source, grads_c.grad_target])
+                # Free the kernel and weight blocks now: kept until the next
+                # iteration rebinds them, they would overlap its distance pass.
+                del dists, blocks
 
                 opt.step(work, backward(work, rec, grad_logits, grad_phi))
 

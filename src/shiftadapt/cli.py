@@ -286,6 +286,10 @@ def cmd_adapt(run: RunConfig) -> int:
         if not eval_set.is_fully_labeled():
             raise DatasetError("target_labels dataset must be fully labeled")
         eval_name = "target_labels"
+        # The same pool with labels: training ignores them, and the
+        # pseudo-label accuracy reads them.
+        if [ex.text for ex in eval_set.examples] == [ex.text for ex in target.examples]:
+            target = eval_set
     else:
         eval_set = calib
         eval_name = "calib"

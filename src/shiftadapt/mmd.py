@@ -7,6 +7,9 @@ class pair and normalized by the indicator count. The contrastive loss
 combines the intra-class terms positively and the inter-class terms with
 weight -1/2. Both the value and the gradient are weighted sums over the
 three kernel blocks, with one set of class-pair weights.
+
+Per batch pair, `pairwise_sq_dists` computes the distances once; the
+bandwidth reads them and `kernel_blocks` turns them into kernels in place.
 """
 from __future__ import annotations
 
@@ -47,16 +50,23 @@ class ContrastiveResult(NamedTuple):
     skipped: tuple[str, ...]
 
 
+class KernelBlocks(NamedTuple):
+    """One batch pair's shared kernel work: the bandwidth, the three kernel
+    blocks and their class-pair weights (see _class_pair_weights)."""
+    gamma: float
+    k_ss: np.ndarray  # (n, n)
+    k_tt: np.ndarray  # (m, m)
+    k_st: np.ndarray  # (n, m)
+    w_ss: np.ndarray
+    w_tt: np.ndarray
+    w_st: np.ndarray
+    skipped: tuple[str, ...]
+
+
 class ContrastiveGradients(NamedTuple):
     grad_source: np.ndarray  # (n, d)
     grad_target: np.ndarray  # (m, d)
     skipped: tuple[str, ...]
-
-
-def _block_rows(width: int) -> int:
-    """Rows per block, so that a block's (rows, width) difference holds at
-    most _BLOCK_ENTRIES floats (always at least one row)."""
-    return max(1, _BLOCK_ENTRIES // max(width, 1))
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -64,7 +74,7 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     difference. Each entry is the einsum of one difference row, so the split
     into blocks moves no bit."""
     out = np.empty((a.shape[0], b.shape[0]))
-    rows = min(_block_rows(b.size), a.shape[0])
+    rows = min(max(1, _BLOCK_ENTRIES // max(b.size, 1)), a.shape[0])
     scratch = np.empty((rows, *b.shape))
     for start in range(0, a.shape[0], rows):
         block = a[start : start + rows]
@@ -74,33 +84,24 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    return np.exp(-_sq_dists(a, b) / gamma)
+def pairwise_sq_dists(source: EmbeddingBatch, target: EmbeddingBatch) -> tuple[np.ndarray, ...]:
+    """(ss, tt, st): squared distances within the source, within the target
+    and across, each computed once."""
+    s, t = source.vectors, target.vectors
+    return _sq_dists(s, s), _sq_dists(t, t), _sq_dists(s, t)
 
 
-def median_bandwidth(batch_a: EmbeddingBatch, batch_b: EmbeddingBatch) -> float:
+def median_bandwidth(batch_a: EmbeddingBatch, batch_b: EmbeddingBatch, dists) -> float:
     """Median pairwise squared distance over the union, self-pairs excluded.
 
-    Falls back to 1.0 when the median vanishes (e.g. all vectors identical).
+    dists is pairwise_sq_dists(batch_a, batch_b), left unchanged. The strict
+    upper parts of ss and tt plus all of st are the union's strict upper
+    triangle, so the median is the same bits. Falls back to 1.0 when the
+    median vanishes (e.g. all vectors identical).
     """
-    stacked = np.vstack([batch_a.vectors, batch_b.vectors])
-    n = stacked.shape[0]
-    if n < 2:
-        raise ValueError("median bandwidth needs at least two vectors in total")
-    # The strict upper triangle in row-major order, one block of rows at a
-    # time: rows start..stop against the columns after start.
-    upper = np.empty(n * (n - 1) // 2)
-    filled = start = 0
-    while start < n - 1:
-        cols = stacked[start + 1 :]
-        stop = min(n - 1, start + _block_rows(cols.size))
-        d2 = _sq_dists(stacked[start:stop], cols)
-        # Local row i keeps columns i and after: global column > global row.
-        kept = d2[np.arange(cols.shape[0]) >= np.arange(stop - start)[:, None]]
-        upper[filled : filled + kept.size] = kept
-        filled += kept.size
-        start = stop
-    med = float(np.median(upper, overwrite_input=True))
+    upper = [d[np.arange(len(d)) > np.arange(len(d))[:, None]] for d in dists[:2]]
+    pairs = np.concatenate([*upper, dists[2].ravel()])
+    med = float(np.median(pairs, overwrite_input=True))
     return med if med >= 1e-12 else 1.0
 
 
@@ -135,8 +136,21 @@ def _class_pair_weights(sl: np.ndarray, tl: np.ndarray):
     return w_ss, w_tt, w_st, tuple(skipped)
 
 
+def kernel_blocks(
+    source: EmbeddingBatch, target: EmbeddingBatch, gamma: float, dists
+) -> KernelBlocks:
+    """Kernels exp(-d/gamma), made in place from dists (pairwise_sq_dists(source,
+    target), which this consumes), and the labels' class-pair weights."""
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    for block in dists:  # d / -gamma is -d / gamma, bit for bit
+        np.divide(block, -gamma, out=block)
+        np.exp(block, out=block)
+    return KernelBlocks(gamma, *dists, *_class_pair_weights(source.labels, target.labels))
+
+
 def contrastive_loss(
-    source: EmbeddingBatch, target: EmbeddingBatch, gamma: float
+    source: EmbeddingBatch, target: EmbeddingBatch, blocks: KernelBlocks
 ) -> ContrastiveResult:
     """D00 + D11 - (D01 + D10)/2, as the sum of W∘K over the three blocks.
 
@@ -146,45 +160,31 @@ def contrastive_loss(
     mean-embedding gaps a, b, so it is non-negative and minimized at 0 when
     both classes align across domains. Skipped terms add 0.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    s, t = source.vectors, target.vectors
-    w_ss, w_tt, w_st, skipped = _class_pair_weights(source.labels, target.labels)
-    value = (
-        (w_ss * _kernel_matrix(s, s, gamma)).sum()
-        + (w_tt * _kernel_matrix(t, t, gamma)).sum()
-        + (w_st * _kernel_matrix(s, t, gamma)).sum()
-    )
-    return ContrastiveResult(float(value), skipped)
+    b = blocks
+    value = (b.w_ss * b.k_ss).sum() + (b.w_tt * b.k_tt).sum() + (b.w_st * b.k_st).sum()
+    return ContrastiveResult(float(value), b.skipped)
 
 
 def contrastive_grad(
-    source: EmbeddingBatch, target: EmbeddingBatch, gamma: float
+    source: EmbeddingBatch, target: EmbeddingBatch, blocks: KernelBlocks
 ) -> ContrastiveGradients:
     """Exact gradient of contrastive_loss w.r.t. every embedding vector.
 
-    Uses dk(x, y)/dx = -(2/gamma) (x - y) k(x, y) on the same class-pair
-    weights as contrastive_loss, so `skipped` is the same tuple.
+    Uses dk(x, y)/dx = -(2/gamma) (x - y) k(x, y) on the same kernels and
+    class-pair weights as contrastive_loss, so `skipped` is the same tuple.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    s, t = source.vectors, target.vectors
-    w_ss, w_tt, w_st, skipped = _class_pair_weights(source.labels, target.labels)
-
-    k_ss = _kernel_matrix(s, s, gamma)
-    k_tt = _kernel_matrix(t, t, gamma)
-    k_st = _kernel_matrix(s, t, gamma)
-    scale = -2.0 / gamma
+    s, t, b = source.vectors, target.vectors, blocks
+    scale = -2.0 / b.gamma
 
     # Within-domain part: for symmetric weight sums, grad_i = sum_j c_ij (x_i - x_j).
-    c_ss = scale * (w_ss + w_ss.T) * k_ss
-    grad_s = c_ss.sum(axis=1, keepdims=True) * s - c_ss @ s
-    c_tt = scale * (w_tt + w_tt.T) * k_tt
-    grad_t = c_tt.sum(axis=1, keepdims=True) * t - c_tt @ t
+    c = scale * (b.w_ss + b.w_ss.T) * b.k_ss
+    grad_s = c.sum(axis=1, keepdims=True) * s - c @ s
+    c = scale * (b.w_tt + b.w_tt.T) * b.k_tt
+    grad_t = c.sum(axis=1, keepdims=True) * t - c @ t
 
     # Cross-domain part; w_st already carries the -2 coefficient.
-    c_st = scale * w_st * k_st
-    grad_s += c_st.sum(axis=1, keepdims=True) * s - c_st @ t
-    grad_t += c_st.sum(axis=0)[:, None] * t - c_st.T @ s
+    c = scale * b.w_st * b.k_st
+    grad_s += c.sum(axis=1, keepdims=True) * s - c @ t
+    grad_t += c.sum(axis=0)[:, None] * t - c.T @ s
 
-    return ContrastiveGradients(grad_s, grad_t, skipped)
+    return ContrastiveGradients(grad_s, grad_t, b.skipped)

@@ -15,7 +15,7 @@ from shiftadapt.cli import main
 from shiftadapt.mmd import EmbeddingBatch
 from conftest import ba_on
 from test_correction import grid_best
-from test_mmd import naive_class_mmd
+from test_mmd import kernels, naive_class_mmd
 
 
 def report(num, passed, detail):
@@ -87,7 +87,7 @@ def test_criterion_1_mmd_oracle_equivalence():
             want = naive_class_mmd(S, T, c1, c2, gamma)
             if want is not None:
                 loss_expected += coef * want
-        got_loss = mmd.contrastive_loss(S, T, gamma).value
+        got_loss = mmd.contrastive_loss(S, T, kernels(S, T, gamma)).value
         worst = max(worst, abs(got_loss - loss_expected))
         instances += 1
     elapsed = time.perf_counter() - t0
@@ -112,15 +112,15 @@ def test_criterion_2_gradient_fidelity():
         gamma = float(rng.uniform(0.5, 3.0))
         S = EmbeddingBatch(rng.normal(size=(n, d)), rng.integers(0, 2, n))
         T = EmbeddingBatch(rng.normal(size=(m, d)), rng.integers(0, 2, m))
-        res = mmd.contrastive_grad(S, T, gamma)
+        res = mmd.contrastive_grad(S, T, kernels(S, T, gamma))
         for arr, grad in ((S.vectors, res.grad_source), (T.vectors, res.grad_target)):
             for i in range(arr.shape[0]):
                 for j in range(arr.shape[1]):
                     orig = arr[i, j]
                     arr[i, j] = orig + eps
-                    lp = mmd.contrastive_loss(S, T, gamma).value
+                    lp = mmd.contrastive_loss(S, T, kernels(S, T, gamma)).value
                     arr[i, j] = orig - eps
-                    lm = mmd.contrastive_loss(S, T, gamma).value
+                    lm = mmd.contrastive_loss(S, T, kernels(S, T, gamma)).value
                     arr[i, j] = orig
                     fd = (lp - lm) / (2 * eps)
                     worst = max(worst, abs(fd - grad[i, j]) / max(abs(fd), 1e-6))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from shiftadapt import adapt, correction, data, model
+from shiftadapt import adapt, correction, data, mmd, model
 from shiftadapt.adapt import AdaptConfig, class_aware_sample, run_adaptation
 from shiftadapt.errors import (
     AdaptationError,
@@ -221,7 +221,7 @@ class TestRunAdaptation:
     def test_lambda_zero_is_pure_nll_finetuning(self, small_pretrained, monkeypatch):
         cfg = AdaptConfig(seed=9, epochs=1, batch_size=16, lam=0.0)
         runs = []
-        for bandwidth in (adapt.median_bandwidth, lambda s, t: 123.0):
+        for bandwidth in (adapt.median_bandwidth, lambda s, t, dists: 123.0):
             monkeypatch.setattr(adapt, "median_bandwidth", bandwidth)
             runs.append(run_adaptation(
                 small_pretrained["params"],
@@ -234,6 +234,29 @@ class TestRunAdaptation:
         assert same_params(runs[0][0], runs[1][0])
         for rec in runs[0][1].iterations:
             assert rec.combined == rec.nll
+
+    def test_each_iteration_computes_each_distance_once(self, small_pretrained, monkeypatch):
+        # The bandwidth, the contrastive value and its gradient share one
+        # distance pass: n^2 + m^2 + nm entries for n source and m target rows.
+        entries = []
+        sq_dists = mmd._sq_dists
+
+        def counted(a, b):
+            entries.append(a.shape[0] * b.shape[0])
+            return sq_dists(a, b)
+
+        monkeypatch.setattr(mmd, "_sq_dists", counted)
+        cfg = AdaptConfig(seed=5, epochs=1, batch_size=16)
+        _, trace = run_adaptation(
+            small_pretrained["params"],
+            small_pretrained["train"],
+            small_pretrained["pool"],
+            small_pretrained["calib"],
+            cfg,
+        )
+        n = m = cfg.batch_size
+        assert trace.iterations
+        assert 0 < sum(entries) <= len(trace.iterations) * (n * n + m * m + n * m)
 
     def test_lambda_changes_trajectory(self, small_pretrained, adapted_run):
         cfg, params, _ = adapted_run

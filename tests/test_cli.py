@@ -437,6 +437,20 @@ class TestAdapt:
         assert summary["correction"] == summary["epoch_detail"][-1]["correction"]
         assert summary["best_epoch"] > 0 and "warning:" not in capsys.readouterr().err
 
+    def test_pseudo_accuracy_from_target_labels_of_the_same_pool(self, pipeline_dir, tmp_path):
+        # target_labels with the pool's texts in order labels the pool for the
+        # pseudo-label accuracy; other texts, or no target_labels, leave it null.
+        def pseudo_accuracies(name, *extra):
+            assert main(self.adapt_args(pipeline_dir, tmp_path / name, *extra)) == 0
+            summary = json.loads((tmp_path / name / "summary.json").read_text())
+            return [e["pseudo_accuracy"] for e in summary["epoch_detail"]]
+
+        labelled = pseudo_accuracies("labelled")
+        assert labelled and all(0.0 <= acc <= 1.0 for acc in labelled)
+        other_texts = f"data.target_labels={pipeline_dir['data']}/calib.jsonl"
+        for name, extra in (("unlabelled", "data.target_labels=null"), ("other", other_texts)):
+            assert pseudo_accuracies(name, "--set", extra) == [None] * len(labelled)
+
     def test_warns_when_no_epoch_beats_the_input_model(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "kept"
         args = self.adapt_args(pipeline_dir, out, "--set", "adapt.label_correction=false",

@@ -9,8 +9,15 @@ from shiftadapt.mmd import (
     EmbeddingBatch,
     contrastive_grad,
     contrastive_loss,
+    kernel_blocks,
     median_bandwidth,
+    pairwise_sq_dists,
 )
+
+
+def kernels(S, T, gamma):
+    """One batch pair's shared kernel blocks, built as the adapt loop builds them."""
+    return kernel_blocks(S, T, gamma, pairwise_sq_dists(S, T))
 
 
 def naive_kernel(x, y, gamma):
@@ -48,12 +55,12 @@ def random_batch(rng, n, d, labels=None):
 class TestMedianBandwidth:
     def test_all_identical_falls_back(self):
         b = EmbeddingBatch(np.ones((3, 2)), np.array([0, 1, 0]))
-        assert median_bandwidth(b, b) == 1.0
+        assert median_bandwidth(b, b, pairwise_sq_dists(b, b)) == 1.0
 
     def test_single_pair(self):
         a = EmbeddingBatch(np.array([[0.0, 0.0]]), np.array([0]))
         b = EmbeddingBatch(np.array([[2.0, 0.0]]), np.array([1]))
-        assert median_bandwidth(a, b) == 4.0
+        assert median_bandwidth(a, b, pairwise_sq_dists(a, b)) == 4.0
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(2)
@@ -64,14 +71,14 @@ class TestMedianBandwidth:
             sum((vecs[i] - vecs[j]) ** 2) for i in range(6) for j in range(i + 1, 6)
         )
         expected = np.median(dists)  # 15 pairs
-        assert median_bandwidth(a, b) == pytest.approx(expected, abs=1e-12)
+        assert median_bandwidth(a, b, pairwise_sq_dists(a, b)) == pytest.approx(expected, abs=1e-12)
 
 
 class TestContrastiveLoss:
     def test_identical_batches(self):
         rng = np.random.default_rng(11)
         S = random_batch(rng, 8, 3)
-        res = contrastive_loss(S, S, 1.5)
+        res = contrastive_loss(S, S, kernels(S, S, 1.5))
         # intra-class terms vanish; the inter-class remainder is non-positive y
         assert res.value <= 1e-12
 
@@ -84,7 +91,7 @@ class TestContrastiveLoss:
         S = EmbeddingBatch(np.array([[0.0, 0], [0, 0], [far, far], [far, far]]),
                            np.array([0, 0, 1, 1]))
         T = EmbeddingBatch(S.vectors.copy(), S.labels.copy())
-        res = contrastive_loss(S, T, 1.0)
+        res = contrastive_loss(S, T, kernels(S, T, 1.0))
         expected = (
             naive_class_mmd(S, T, 0, 0, 1.0)
             + naive_class_mmd(S, T, 1, 1, 1.0)
@@ -100,24 +107,24 @@ class TestContrastiveLoss:
         for _ in range(50):
             S = random_batch(rng, int(rng.integers(3, 10)), 3)
             T = random_batch(rng, int(rng.integers(3, 10)), 3)
-            res = contrastive_loss(S, T, float(rng.uniform(0.3, 3.0)))
+            res = contrastive_loss(S, T, kernels(S, T, float(rng.uniform(0.3, 3.0))))
             assert res.value >= -1e-12
 
     def test_zero_iff_intra_class_embeddings_align(self):
         # coincident per-class clusters across domains minimize the loss at 0
         S = EmbeddingBatch(np.array([[0.0, 0], [5, 5]]), np.array([0, 1]))
         T = EmbeddingBatch(np.array([[0.0, 0], [5, 5]]), np.array([0, 1]))
-        assert contrastive_loss(S, T, 1.0).value == pytest.approx(0.0, abs=1e-12)
+        assert contrastive_loss(S, T, kernels(S, T, 1.0)).value == pytest.approx(0.0, abs=1e-12)
         # breaking the alignment makes it strictly positive
         T2 = EmbeddingBatch(np.array([[1.0, 1], [5, 5]]), np.array([0, 1]))
-        assert contrastive_loss(S, T2, 1.0).value > 0.01
+        assert contrastive_loss(S, T2, kernels(S, T2, 1.0)).value > 0.01
 
     def test_matches_class_mmd_composition(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
             S = random_batch(rng, int(rng.integers(3, 10)), 4)
             T = random_batch(rng, int(rng.integers(3, 10)), 4)
-            res = contrastive_loss(S, T, 2.0)
+            res = contrastive_loss(S, T, kernels(S, T, 2.0))
             expected = (
                 naive_class_mmd(S, T, 0, 0, 2.0)
                 + naive_class_mmd(S, T, 1, 1, 2.0)
@@ -128,7 +135,7 @@ class TestContrastiveLoss:
     def test_single_class_batches_partial(self):
         S = EmbeddingBatch(np.array([[0.0, 0], [1, 1]]), np.array([1, 1]))
         T = EmbeddingBatch(np.array([[0.5, 0.5]]), np.array([1]))
-        res = contrastive_loss(S, T, 1.0)
+        res = contrastive_loss(S, T, kernels(S, T, 1.0))
         assert res.value == pytest.approx(naive_class_mmd(S, T, 1, 1, 1.0), abs=1e-12)  # D11 alone
         assert "d00:ss" in res.skipped and "d01:st" in res.skipped
 
@@ -141,16 +148,16 @@ class TestContrastiveGrad:
             S = random_batch(rng, n, d)
             T = random_batch(rng, m, d)
             gamma = float(rng.uniform(0.5, 3.0))
-            res = contrastive_grad(S, T, gamma)
+            res = contrastive_grad(S, T, kernels(S, T, gamma))
             eps = 1e-5
             for arr, grad, side in ((S.vectors, res.grad_source, 0), (T.vectors, res.grad_target, 1)):
                 for i in range(arr.shape[0]):
                     for j in range(arr.shape[1]):
                         orig = arr[i, j]
                         arr[i, j] = orig + eps
-                        lp = contrastive_loss(S, T, gamma).value
+                        lp = contrastive_loss(S, T, kernels(S, T, gamma)).value
                         arr[i, j] = orig - eps
-                        lm = contrastive_loss(S, T, gamma).value
+                        lm = contrastive_loss(S, T, kernels(S, T, gamma)).value
                         arr[i, j] = orig
                         fd = (lp - lm) / (2 * eps)
                         assert abs(fd - grad[i, j]) <= 1e-4 * max(abs(fd), 1e-6)
@@ -161,7 +168,7 @@ class TestContrastiveGrad:
         labels = np.array([0, 0, 1, 1])
         S = EmbeddingBatch(vecs, labels)
         T = EmbeddingBatch(vecs.copy(), labels.copy())
-        res = contrastive_grad(S, T, 1.3)
+        res = contrastive_grad(S, T, kernels(S, T, 1.3))
         for g in (res.grad_source, res.grad_target):
             assert np.allclose(g[1], -g[0], atol=1e-12)
             assert np.allclose(g[3], -g[2], atol=1e-12)
@@ -170,7 +177,7 @@ class TestContrastiveGrad:
         rng = np.random.default_rng(14)
         S = random_batch(rng, 7, 4)
         T = random_batch(rng, 6, 4)
-        res = contrastive_grad(S, T, 2.0)
+        res = contrastive_grad(S, T, kernels(S, T, 2.0))
         total = res.grad_source.sum(axis=0) + res.grad_target.sum(axis=0)
         assert np.abs(total).max() <= 1e-9
 
@@ -183,8 +190,8 @@ class TestContrastiveGrad:
         rng = np.random.default_rng(15)
         S = EmbeddingBatch(rng.normal(size=(len(source_labels), 2)), np.array(source_labels))
         T = EmbeddingBatch(rng.normal(size=(len(target_labels), 2)), np.array(target_labels))
-        loss = contrastive_loss(S, T, 1.0)
-        assert contrastive_grad(S, T, 1.0).skipped == loss.skipped
+        loss = contrastive_loss(S, T, kernels(S, T, 1.0))
+        assert contrastive_grad(S, T, kernels(S, T, 1.0)).skipped == loss.skipped
         assert type(loss.value) is float and math.isfinite(loss.value)
 
 
@@ -234,6 +241,24 @@ def oracle_class_pair_weights(sl, tl):
     return w_ss, w_tt, w_st, tuple(skipped)
 
 
+def oracle_loss_and_grad(S, T, gamma):
+    """(value, grad_source, grad_target, skipped) as computed before the shared
+    pass: whole-array kernels exp(-d / gamma), and the old formulas."""
+    s, t = S.vectors, T.vectors
+    w_ss, w_tt, w_st, skipped = oracle_class_pair_weights(S.labels, T.labels)
+    k_ss, k_tt, k_st = (np.exp(-oracle_sq_dists(a, b) / gamma) for a, b in ((s, s), (t, t), (s, t)))
+    value = (w_ss * k_ss).sum() + (w_tt * k_tt).sum() + (w_st * k_st).sum()
+    scale = -2.0 / gamma
+    c_ss = scale * (w_ss + w_ss.T) * k_ss
+    grad_s = c_ss.sum(axis=1, keepdims=True) * s - c_ss @ s
+    c_tt = scale * (w_tt + w_tt.T) * k_tt
+    grad_t = c_tt.sum(axis=1, keepdims=True) * t - c_tt @ t
+    c_st = scale * w_st * k_st
+    grad_s += c_st.sum(axis=1, keepdims=True) * s - c_st @ t
+    grad_t += c_st.sum(axis=0)[:, None] * t - c_st.T @ s
+    return float(value), grad_s, grad_t, tuple(skipped)
+
+
 SIZES = (1, 2, 7, 24, 193, 400)
 DIMS = (1, 8, 32, 65)
 
@@ -252,8 +277,18 @@ def label_cases(rng, n, m):
     ]
 
 
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlockedEqualsWholeArray:
-    """The blocked distances keep every bit of the whole-array forms."""
+    """The blocked distances and the shared pass keep every bit of the
+    whole-array forms."""
 
     @pytest.mark.parametrize("d", DIMS)
     def test_sq_dists(self, d):
@@ -270,7 +305,13 @@ class TestBlockedEqualsWholeArray:
             for m in SIZES:
                 a = EmbeddingBatch(rng.normal(size=(n, d)), rng.integers(0, 2, n))
                 b = EmbeddingBatch(rng.normal(size=(m, d)), rng.integers(0, 2, m))
-                assert same_bits(median_bandwidth(a, b), oracle_median_bandwidth(a, b)), (n, m, d)
+                dists = pairwise_sq_dists(a, b)
+                got = median_bandwidth(a, b, dists)
+                assert same_bits(got, oracle_median_bandwidth(a, b)), (n, m, d)
+                # The bandwidth leaves the shared distances for the kernels.
+                s, t = a.vectors, b.vectors
+                want = (oracle_sq_dists(s, s), oracle_sq_dists(t, t), oracle_sq_dists(s, t))
+                assert all(same_bits(g, w) for g, w in zip(dists, want)), (n, m, d)
 
     def test_class_pair_weights(self):
         rng = np.random.default_rng(3)
@@ -283,38 +324,48 @@ class TestBlockedEqualsWholeArray:
                     assert all(same_bits(g, w) for g, w in zip(got[:3], want[:3])), (n, m)
 
     @pytest.mark.parametrize("d", DIMS)
-    def test_loss_and_grad(self, d, monkeypatch):
+    def test_loss_and_grad(self, d):
+        # The shared pass: kernels made in place from one set of distances,
+        # and weights, that the value and the gradient share.
         rng = np.random.default_rng(200 + d)
-        cases = []
         for k, (n, m) in enumerate((n, m) for n in SIZES for m in SIZES):
             sl, tl = label_cases(rng, n, m)[k % 3]  # each labelling on a third of the shapes
             S = EmbeddingBatch(rng.normal(size=(n, d)), sl)
             T = EmbeddingBatch(rng.normal(size=(m, d)), tl)
             gamma = float(rng.uniform(0.5, 2.0)) * d
-            cases.append((S, T, gamma, contrastive_loss(S, T, gamma),
-                          contrastive_grad(S, T, gamma)))
-        monkeypatch.setattr(mmd, "_sq_dists", oracle_sq_dists)
-        monkeypatch.setattr(mmd, "_class_pair_weights", oracle_class_pair_weights)
-        for S, T, gamma, loss, grad in cases:
-            shape = (len(S.labels), len(T.labels), d)
-            want_loss, want_grad = contrastive_loss(S, T, gamma), contrastive_grad(S, T, gamma)
-            assert same_bits(loss.value, want_loss.value), shape
-            assert loss.skipped == want_loss.skipped, shape
-            assert same_bits(grad.grad_source, want_grad.grad_source), shape
-            assert same_bits(grad.grad_target, want_grad.grad_target), shape
-            assert grad.skipped == want_grad.skipped, shape
+            blocks = kernels(S, T, gamma)
+            loss, grad = contrastive_loss(S, T, blocks), contrastive_grad(S, T, blocks)
+            value, grad_s, grad_t, skipped = oracle_loss_and_grad(S, T, gamma)
+            shape = (n, m, d)
+            assert same_bits(loss.value, value), shape
+            assert loss.skipped == skipped, shape
+            assert same_bits(grad.grad_source, grad_s), shape
+            assert same_bits(grad.grad_target, grad_t), shape
+            assert grad.skipped == skipped, shape
 
     @pytest.mark.parametrize("d", (32, 256))
     def test_bandwidth_peak_memory_does_not_grow_with_width(self, d):
         # The whole-array form held an (n + m)^2 * d difference, at
-        # d = 32 here (369 MB). The blocked form holds the upper triangle and one block.
+        # d = 32 here (369 MB). The blocked form holds the three distance
+        # blocks, the pairs the median reads and one block of differences.
         rng = np.random.default_rng(d)
         a = EmbeddingBatch(rng.normal(size=(600, d)), rng.integers(0, 2, 600))
         b = EmbeddingBatch(rng.normal(size=(600, d)), rng.integers(0, 2, 600))
-        tracemalloc.start()
-        try:
-            median_bandwidth(a, b)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: median_bandwidth(a, b, pairwise_sq_dists(a, b)))
         assert peak < 2 * 1200 ** 2 * 8
+
+    def test_shared_pass_peak_memory(self):
+        # One iteration's whole pass: distances, bandwidth, kernels and
+        # weights, value and gradient. Three separate calls peaked at 2.32
+        # (n + m)^2 floats, when each built its own kernels and weights.
+        rng = np.random.default_rng(5)
+        a = EmbeddingBatch(rng.normal(size=(600, 32)), rng.integers(0, 2, 600))
+        b = EmbeddingBatch(rng.normal(size=(600, 32)), rng.integers(0, 2, 600))
+
+        def one_pass():
+            dists = pairwise_sq_dists(a, b)
+            blocks = kernel_blocks(a, b, median_bandwidth(a, b, dists), dists)
+            contrastive_loss(a, b, blocks)
+            contrastive_grad(a, b, blocks)
+
+        assert traced_peak(one_pass) < 2.4 * 1200 ** 2 * 8
