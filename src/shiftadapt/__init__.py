@@ -45,9 +45,11 @@ from .mmd import (
 )
 from .model import (
     ForwardRecord,
+    Model,
     ModelParams,
     TrainConfig,
     backward,
+    compact,
     forward,
     init,
     load_checkpoint,

@@ -20,7 +20,7 @@ from .data import Dataset, featurize_dataset
 from .errors import AdaptationError, ConfigError, DatasetError, EmptyPseudoLabelSetError
 from .mmd import (EmbeddingBatch, contrastive_grad, contrastive_loss, kernel_blocks,
                   median_bandwidth, pairwise_sq_dists)
-from .model import ModelParams, Optimizer, backward, compact, expand, forward, logits_ba, nll_head
+from .model import Model, Optimizer, backward, compact, expand, forward, logits_ba, nll_head
 
 
 @dataclass
@@ -128,12 +128,12 @@ def class_aware_sample(
 
 
 def run_adaptation(
-    model: ModelParams,
+    model: Model,
     source: Dataset,
     target: Dataset,
     calib: Dataset,
     cfg: AdaptConfig,
-) -> tuple[ModelParams, AdaptTrace]:
+) -> tuple[Model, AdaptTrace]:
     """Adapt a source-pretrained model to an unlabeled target domain.
 
     Target labels, when present, are ignored by training and only feed the

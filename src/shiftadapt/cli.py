@@ -129,6 +129,8 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except RecursionError as exc:
+            raise ConfigError(f"--set {reprlib.repr(dotted)}: JSON nested too deeply") from exc
         node = cfg
         keys = dotted.split(".")
         for key in keys[:-1]:
@@ -142,15 +144,15 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
 def _load_run(path, overrides) -> RunConfig:
     cfg = default_config()
     if path is not None:
-        with open(path, encoding="utf-8-sig") as fh:
-            try:
-                user = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from exc
+        user = _read_json(path)
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: run config must be a JSON object")
         cfg = _deep_merge(cfg, user)
     return validate_config(_apply_overrides(cfg, overrides))
+
+
+def _read_json(path):
+    return data_mod._parse_json(data_mod._file_bytes(path), ConfigError, path)
 
 
 def load_config(path, overrides) -> dict:
@@ -185,7 +187,7 @@ def _require_path(run: RunConfig, key):
     return value
 
 
-def _pretrain(run: RunConfig, train, val) -> model_mod.ModelParams:
+def _pretrain(run: RunConfig, train, val) -> model_mod.Model:
     m = run.model
     params = model_mod.init(m.hash_dim, m.d_embed, m.d_hidden, m.seed)
     return model_mod.pretrain(params, train, val, run.train)
@@ -335,12 +337,7 @@ def cmd_evaluate(checkpoint, dataset_path, correction_path=None, out_path=None) 
         raise DatasetError("evaluation dataset must be fully labeled")
     cp = None
     if correction_path is not None:
-        with open(correction_path, encoding="utf-8-sig") as fh:
-            try:
-                obj = json.load(fh)
-            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-                raise ConfigError(f"correction file {correction_path} is not JSON: {exc}") from exc
-        cp = correction_mod.CorrectionParams.from_dict(obj)
+        cp = correction_mod.CorrectionParams.from_dict(_read_json(correction_path))
     report = to_dict(_evaluate(params, *_features_and_labels(dataset, params.hash_dim), cp))
     if out_path is not None:
         _dump_json(report, out_path)

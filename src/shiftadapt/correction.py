@@ -16,7 +16,7 @@ import numpy as np
 from .config import check
 from .data import SparseVec
 from .errors import ConfigError, DatasetError
-from .model import ModelParams, forward, softmax
+from .model import Model, compact, forward, softmax
 
 
 @dataclass
@@ -208,11 +208,12 @@ def pseudo_label(
 
 
 def predict_labels(
-    model: ModelParams,
+    model: Model,
     feats: Sequence[SparseVec],
     cp: Optional[CorrectionParams] = None,
 ) -> list[int]:
     """Hard predictions, optionally through the corrected softmax; ties go to class 0."""
-    logits = forward(model, feats).logits
+    params, _, (feats,) = compact(model, feats)
+    logits = forward(params, feats).logits
     probs = apply_correction(cp, logits) if cp is not None else softmax(logits)
     return np.argmax(probs, axis=1).tolist()

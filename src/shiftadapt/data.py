@@ -2,6 +2,7 @@
 hashing, and a synthetic shifted-domain generator with known ground truth."""
 from __future__ import annotations
 
+import codecs
 import json
 import math
 from dataclasses import KW_ONLY, dataclass
@@ -75,35 +76,48 @@ def _validate_label(raw, path: str, lineno: int) -> Optional[int]:
     raise DatasetError(f"{path}:{lineno}: label must be 0, 1 or null, got {raw!r}")
 
 
+def _parse_json(raw: bytes, error: type[Exception], *where):
+    """The JSON value of UTF-8 bytes; error, led by where's parts joined with
+    ":" (joined only on failure: a dataset parses each line here), when they
+    are not UTF-8, not JSON, or nested past the recursion limit (RFC 8259 §8.1, §9)."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        fault, cause = f"not UTF-8 text ({exc.reason} at byte {exc.start})", exc
+    except json.JSONDecodeError as exc:
+        fault, cause = f"malformed JSON ({exc.msg})", exc
+    except RecursionError as exc:
+        fault, cause = "JSON nested too deeply", exc
+    raise error(":".join(map(str, where)) + f": {fault}") from cause
+
+
+def _file_bytes(path) -> bytes:
+    """A file's bytes without a leading UTF-8 byte-order mark, as utf-8-sig reads them."""
+    return Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+
+
 def load_jsonl(path) -> Dataset:
     """Load a JSONL dataset of {"text": str, "label": 0|1|null} objects.
 
-    Line order is preserved. Malformed lines and invalid labels raise
-    DatasetError naming the offending line. An example whose text is empty
-    after preprocessing is rejected at load time; the check stops at the
-    text's first token.
+    Line order is preserved. Malformed lines (not UTF-8, not JSON, or nested
+    too deep) and invalid labels raise DatasetError naming the offending
+    line. An example whose text is empty after preprocessing is rejected at
+    load time; the check stops at the text's first token.
     """
     path = Path(path)
     examples: list[Example] = []
-    # utf-8-sig drops a leading byte-order mark; line iteration accepts CRLF.
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:
-                raise DatasetError(
-                    f"{path}:{lineno}: expected an object with 'text' and 'label'"
-                )
-            text = obj["text"]
-            if not isinstance(text, str):
-                raise DatasetError(f"{path}:{lineno}: 'text' must be a string")
-            if next(_tokens(text), None) is None:
-                raise DatasetError(
-                    f"{path}:{lineno}: text is empty after preprocessing"
-                )
-            examples.append(Example(text, _validate_label(obj["label"], str(path), lineno)))
+    # A leading byte-order mark is dropped; lines end at LF, CRLF or CR, as
+    # in text mode.
+    for lineno, line in enumerate(_file_bytes(path).splitlines(), start=1):
+        obj = _parse_json(line, DatasetError, path, lineno)
+        if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:
+            raise DatasetError(f"{path}:{lineno}: expected an object with 'text' and 'label'")
+        text = obj["text"]
+        if not isinstance(text, str):
+            raise DatasetError(f"{path}:{lineno}: 'text' must be a string")
+        if next(_tokens(text), None) is None:
+            raise DatasetError(f"{path}:{lineno}: text is empty after preprocessing")
+        examples.append(Example(text, _validate_label(obj["label"], str(path), lineno)))
     return Dataset(examples, name=path.stem)
 
 

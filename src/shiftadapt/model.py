@@ -6,18 +6,20 @@ hidden vector phi; the classifier head maps phi to two logits.
 from __future__ import annotations
 
 import json
+import reprlib
 import zipfile
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, SparseVec, featurize_dataset
+from .data import Dataset, SparseVec, _parse_json, featurize_dataset
 from .errors import AdaptationError, ConfigError, DatasetError
 from .metrics import balanced_accuracy, confusion
 
 PROB_FLOOR = 1e-12
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_RUN_GAP = 64  # see _init_rows
 
 # Fixed block order; gradient accumulation, optimizer updates and
 # finite-difference sweeps all iterate in this order.
@@ -54,23 +56,18 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
-    embed: np.ndarray  # (hash_dim, d_embed)
+    """The dense blocks that forward, backward and Optimizer work on; embed
+    has a row per index its inputs use (`compact`)."""
+
+    embed: np.ndarray  # (rows, d_embed)
     hidden_w: np.ndarray  # (d_embed, d_hidden)
     hidden_b: np.ndarray  # (d_hidden,)
     out_w: np.ndarray  # (d_hidden, 2)
     out_b: np.ndarray  # (2,)
 
     @property
-    def hash_dim(self) -> int:
-        return self.embed.shape[0]
-
-    @property
     def d_embed(self) -> int:
         return self.embed.shape[1]
-
-    @property
-    def d_hidden(self) -> int:
-        return self.hidden_w.shape[1]
 
     def copy(self) -> "ModelParams":
         return ModelParams(*(getattr(self, b).copy() for b in PARAM_BLOCKS))
@@ -95,23 +92,63 @@ class ForwardRecord:
     logits: np.ndarray  # (n, 2)
 
 
-def init(hash_dim: int, d_embed: int, d_hidden: int, seed: int) -> ModelParams:
-    """Initialize weights uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases zero."""
-    if min(hash_dim, d_embed, d_hidden) <= 0:
-        raise ConfigError("all model dimensions must be positive")
+@dataclass
+class Model:
+    """The full-space model: a (hash_dim, d_embed) embedding table of which
+    only `rows` are held, and the dense blocks. A row it does not hold has
+    init's value for `seed`; `compact` gives the trainable blocks."""
+
+    hash_dim: int
+    seed: int
+    rows: np.ndarray  # int64, sorted, unique, < hash_dim
+    embed: np.ndarray  # (rows.size, d_embed): the held rows' values
+    hidden_w: np.ndarray  # (d_embed, d_hidden)
+    hidden_b: np.ndarray  # (d_hidden,)
+    out_w: np.ndarray  # (d_hidden, 2)
+    out_b: np.ndarray  # (2,)
+
+    @property
+    def d_embed(self) -> int:
+        return self.embed.shape[1]
+
+
+def init(hash_dim: int, d_embed: int, d_hidden: int, seed: int) -> Model:
+    """Initialize weights uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases zero.
+
+    default_rng(seed) draws the embedding table, then hidden_w, then out_w.
+    The model holds no embedding row: hidden_w starts hash_dim * d_embed
+    draws in, and `_init_rows` redraws any row of the table."""
+    if min(hash_dim, d_embed, d_hidden) <= 0 or seed < 0:
+        raise ConfigError("all model dimensions must be positive and the seed non-negative")
+    rng = np.random.Generator(np.random.PCG64(seed).advance(hash_dim * d_embed))
+    bound_e, bound_h = 1.0 / np.sqrt(d_embed), 1.0 / np.sqrt(d_hidden)
+    hidden_w = rng.uniform(-bound_e, bound_e, size=(d_embed, d_hidden))
+    out_w = rng.uniform(-bound_h, bound_h, size=(d_hidden, 2))
+    return Model(hash_dim, int(seed), np.empty(0, np.int64), np.empty((0, d_embed)),
+                 hidden_w, np.zeros(d_hidden), out_w, np.zeros(2))
+
+
+def _init_rows(seed: int, hash_dim: int, d_embed: int, rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` (sorted, unique) of init's embedding table, bit for bit.
+
+    The table is default_rng(seed).uniform's first hash_dim * d_embed draws,
+    one PCG64 output each, so row r starts at output r * d_embed. One uniform
+    call draws each run of rows at most _RUN_GAP apart, the rows between
+    them included, and PCG64.advance skips each longer gap."""
+    out = np.empty((rows.size, d_embed))
+    if rows.size == 0:
+        return out
     rng = np.random.default_rng(seed)
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    return ModelParams(
-        embed=uniform((hash_dim, d_embed), hash_dim),
-        hidden_w=uniform((d_embed, d_hidden), d_embed),
-        hidden_b=np.zeros(d_hidden),
-        out_w=uniform((d_hidden, 2), d_hidden),
-        out_b=np.zeros(2),
-    )
+    bound = 1.0 / np.sqrt(hash_dim)
+    cuts = (np.flatnonzero(np.diff(rows) > _RUN_GAP) + 1).tolist()
+    drawn = 0  # table rows drawn or skipped so far
+    for a, b in zip([0] + cuts, cuts + [rows.size]):
+        first, last = int(rows[a]), int(rows[b - 1])
+        rng.bit_generator.advance((first - drawn) * d_embed)
+        run = rng.uniform(-bound, bound, size=(last + 1 - first, d_embed))
+        out[a:b] = run[rows[a:b] - first]
+        drawn = last + 1
+    return out
 
 
 def forward(params: ModelParams, feats: Sequence[SparseVec]) -> ForwardRecord:
@@ -124,8 +161,8 @@ def forward(params: ModelParams, feats: Sequence[SparseVec]) -> ForwardRecord:
     with np.errstate(over="ignore", invalid="ignore"):
         # Row by row, so no (nnz, d_embed) gather of the whole batch is ever held.
         for row, x in zip(embedded, feats):
-            if x.dim != params.hash_dim:
-                raise ValueError(f"input dim {x.dim} != model hash_dim {params.hash_dim}")
+            if x.dim != len(params.embed):
+                raise ValueError(f"input dim {x.dim} != {len(params.embed)} embedding rows")
             row[:] = x.values @ params.embed[x.indices]
         pre = embedded @ params.hidden_w + params.hidden_b
         if not _is_finite(pre):
@@ -233,39 +270,46 @@ class Optimizer:
 
 
 def compact(
-    params: ModelParams, *feat_lists: Sequence[SparseVec]
+    model: Model, *feat_lists: Sequence[SparseVec]
 ) -> tuple[ModelParams, np.ndarray, list[list[SparseVec]]]:
     """Fresh (k, d_embed) params over the k embedding rows that feat_lists
     read, those rows in ascending order, and each list with its vectors
-    remapped onto them.
+    remapped onto them. A row the model holds comes from its table, any
+    other from `_init_rows`.
 
     Training the compact params is exact: a row no input reads gets a zero
     gradient, so Adam leaves it bit-identical, and every row that is read
-    sees the same values in the same order. `expand` scatters the result back.
+    sees the same values in the same order. `expand` merges the result back.
     """
     vecs = [x for feats in feat_lists for x in feats]
-    if any(x.dim != params.hash_dim for x in vecs):
-        raise ValueError(f"every input must have dim {params.hash_dim}")
+    if any(x.dim != model.hash_dim for x in vecs):
+        raise ValueError(f"every input must have dim {model.hash_dim}")
     indices = np.concatenate([x.indices for x in vecs] + [np.empty(0, np.int64)])
-    read = np.zeros(params.hash_dim, dtype=bool)
+    read = np.zeros(model.hash_dim, dtype=bool)
     read[indices] = True
     rows = np.flatnonzero(read)
     # Embed row r is table row cumsum(read)[r] - 1. The map keeps order, so
     # every remapped vector stays sorted; a lookup is cheaper than a sort.
     new_indices = (np.cumsum(read) - 1)[indices]
-    ends = np.cumsum([x.nnz for x in vecs], dtype=np.int64).tolist()
+    ends = np.cumsum([x.indices.size for x in vecs], dtype=np.int64).tolist()
     remapped = iter([SparseVec(new_indices[a:b], x.values, rows.size)
                      for a, b, x in zip([0] + ends, ends, vecs)])
-    small = ModelParams(params.embed[rows], *(b.copy() for b in params.blocks()[1:]))
+    held = np.isin(rows, model.rows, assume_unique=True)
+    embed = np.empty((rows.size, model.d_embed))
+    embed[held] = model.embed[np.searchsorted(model.rows, rows[held])]
+    embed[~held] = _init_rows(model.seed, model.hash_dim, model.d_embed, rows[~held])
+    small = ModelParams(embed, *(getattr(model, b).copy() for b in PARAM_BLOCKS[1:]))
     return small, rows, [[next(remapped) for _ in feats] for feats in feat_lists]
 
 
-def expand(full: ModelParams, small: ModelParams, rows: np.ndarray) -> ModelParams:
-    """A copy of full's embed with `rows` replaced by small.embed, and small's
-    other blocks; the inverse of `compact`. Neither input is modified."""
-    embed = full.embed.copy()
-    embed[rows] = small.embed
-    return ModelParams(embed, *small.blocks()[1:])
+def expand(model: Model, small: ModelParams, rows: np.ndarray) -> Model:
+    """model holding `rows` too, at small.embed's values, with small's other
+    blocks; the inverse of `compact`. Neither input is modified."""
+    held = np.union1d(model.rows, rows)
+    embed = np.empty((held.size, model.d_embed))
+    embed[np.searchsorted(held, model.rows)] = model.embed
+    embed[np.searchsorted(held, rows)] = small.embed
+    return Model(model.hash_dim, model.seed, held, embed, *small.blocks()[1:])
 
 
 def logits_ba(logits: np.ndarray, labels) -> float:
@@ -274,7 +318,7 @@ def logits_ba(logits: np.ndarray, labels) -> float:
     return balanced_accuracy(confusion(np.argmax(softmax(logits), axis=1), labels))
 
 
-def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig) -> ModelParams:
+def pretrain(params: Model, train: Dataset, val: Dataset, cfg: TrainConfig) -> Model:
     """Mini-batch NLL training; returns the snapshot with best validation BA.
 
     The initial parameters count as the epoch-0 snapshot, so the result never
@@ -315,47 +359,49 @@ def pretrain(params: ModelParams, train: Dataset, val: Dataset, cfg: TrainConfig
     return expand(params, best, rows)
 
 
-def save_checkpoint(params: ModelParams, path) -> None:
-    """Write a versioned npz checkpoint; float64 arrays round-trip bit-exactly."""
-    meta = json.dumps(
-        {
-            "version": CHECKPOINT_VERSION,
-            "hash_dim": params.hash_dim,
-            "d_embed": params.d_embed,
-            "d_hidden": params.d_hidden,
-        },
-        sort_keys=True,
-    )
-    np.savez(
-        path,
-        meta=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8),
-        **{b: getattr(params, b) for b in PARAM_BLOCKS},
-    )
+def save_checkpoint(params: Model, path) -> None:
+    """Write a versioned npz checkpoint: the seed, the held rows and their
+    table, and the dense blocks; float64 arrays round-trip bit-exactly."""
+    meta = {"version": CHECKPOINT_VERSION, "hash_dim": params.hash_dim, "seed": params.seed,
+            "d_embed": params.d_embed, "d_hidden": params.hidden_w.shape[1]}
+    np.savez(path, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), np.uint8),
+             rows=params.rows, **{b: getattr(params, b) for b in PARAM_BLOCKS})
 
 
-def load_checkpoint(path) -> ModelParams:
-    """Read a save_checkpoint file. ConfigError when it is not an npz, lacks an
-    array, has another version, or holds a block that is not finite float64 of
-    the header's shape."""
+def load_checkpoint(path) -> Model:
+    """Read a save_checkpoint file. ConfigError when it is not an npz, has
+    another version, lacks an array, or breaks its header: rows that are not
+    increasing int64 below hash_dim, or a block that is not finite float64
+    of the header's shape."""
     try:
         npz = np.load(path)
         if not isinstance(npz, np.lib.npyio.NpzFile):
             raise ValueError("a bare .npy array")
         with npz:
-            arrays = {k: npz[k] for k in ("meta", *PARAM_BLOCKS)}
-        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+            arrays = {k: npz[k] for k in ("meta", "rows", *PARAM_BLOCKS) if k in npz.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"{path} is not a readable checkpoint: {exc}") from exc
+    meta = _parse_json(arrays.pop("meta").tobytes(), ConfigError, path, "meta") if "meta" in arrays else {}
     meta = meta if isinstance(meta, dict) else {}
     if meta.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {meta.get('version')!r}")
-    h, e, d = (meta.get(k) for k in ("hash_dim", "d_embed", "d_hidden"))
-    shapes = {"embed": (h, e), "hidden_w": (e, d), "hidden_b": (d,), "out_w": (d, 2), "out_b": (2,)}
+        raise ConfigError(f"{path}: checkpoint version {reprlib.repr(meta.get('version'))} is "
+                          f"not supported, only {CHECKPOINT_VERSION}; rerun pretrain")
+    if set(arrays) != {"rows", *PARAM_BLOCKS}:
+        raise ConfigError(f"{path} is not a readable checkpoint: it lacks an array")
+    h, e, d, seed = (meta.get(k) for k in ("hash_dim", "d_embed", "d_hidden", "seed"))
+    if any(type(v) is not int for v in (h, e, d, seed)) or min(h, e, d) <= 0 or seed < 0:
+        raise ConfigError(f"{path}: checkpoint meta needs positive integers hash_dim, d_embed, "
+                          f"d_hidden and a non-negative integer seed, got {reprlib.repr(meta)}")
+    rows = arrays["rows"]
+    if (rows.dtype != np.int64 or rows.ndim != 1 or np.any(np.diff(rows) <= 0)
+            or (rows.size and (rows[0] < 0 or rows[-1] >= h))):
+        raise ConfigError(f"{path}: checkpoint rows must be increasing int64 below hash_dim {h}")
+    shapes = {"embed": (rows.size, e), "hidden_w": (e, d), "hidden_b": (d,), "out_w": (d, 2), "out_b": (2,)}
     for name, shape in shapes.items():
         block = arrays[name]
         if block.shape != shape or block.dtype != np.float64 or not _is_finite(block):
             raise ConfigError(
-                f"checkpoint block {name} must be finite float64 of shape {shape}, "
+                f"{path}: checkpoint block {name} must be finite float64 of shape {shape}, "
                 f"got {block.dtype} {block.shape}"
             )
-    return ModelParams(*(arrays[b] for b in PARAM_BLOCKS))
+    return Model(h, seed, rows, *(arrays[b] for b in PARAM_BLOCKS))

@@ -54,16 +54,34 @@ def small_pretrained(small_scenario):
     }
 
 
-def ba_on(params, dataset):
-    return model.logits_ba(*logits_and_labels(params, dataset))
+def oracle_embed(seed, hash_dim, d_embed):
+    """init's whole (hash_dim, d_embed) embedding table, drawn in one call as
+    default_rng(seed) draws it first: the oracle that model._init_rows redraws
+    rows of."""
+    bound = 1.0 / np.sqrt(hash_dim)
+    return np.random.default_rng(seed).uniform(-bound, bound, size=(hash_dim, d_embed))
 
 
-def logits_and_labels(params, dataset):
-    """(n, 2) logits of params on dataset, and its labels: stage 1's inputs."""
-    feats = data.featurize_dataset(dataset, params.hash_dim)
-    return model.forward(params, feats).logits, [ex.label for ex in dataset.examples]
+def dense(m):
+    """The dense ModelParams of a model.Model: its held rows, every other row
+    from the oracle table, and copies of its other blocks."""
+    embed = oracle_embed(m.seed, m.hash_dim, m.d_embed)
+    embed[m.rows] = m.embed
+    return model.ModelParams(embed, *(getattr(m, b).copy() for b in model.PARAM_BLOCKS[1:]))
+
+
+def ba_on(m, dataset):
+    return model.logits_ba(*logits_and_labels(m, dataset))
+
+
+def logits_and_labels(m, dataset):
+    """(n, 2) logits of model m on dataset, and its labels: stage 1's inputs."""
+    feats = data.featurize_dataset(dataset, m.hash_dim)
+    return model.forward(dense(m), feats).logits, [ex.label for ex in dataset.examples]
 
 
 def same_params(a, b):
-    """Whether two ModelParams hold bit-identical blocks."""
+    """Whether two ModelParams, or two models in their dense form, hold
+    bit-identical blocks."""
+    a, b = (dense(x) if isinstance(x, model.Model) else x for x in (a, b))
     return all(np.array_equal(x, y) for x, y in zip(a.blocks(), b.blocks()))

@@ -13,7 +13,7 @@ import pytest
 from shiftadapt import adapt, cli, config, correction, data, metrics, mmd, model
 from shiftadapt.cli import main
 from shiftadapt.mmd import EmbeddingBatch
-from conftest import ba_on
+from conftest import ba_on, dense
 from test_correction import grid_best
 from test_mmd import kernels, naive_class_mmd
 
@@ -130,7 +130,7 @@ def test_criterion_2_gradient_fidelity():
     for _ in range(10):  # model backward configurations
         d_embed = int(rng.integers(3, 7))
         d_hidden = int(rng.integers(2, 6))
-        params = model.init(128, d_embed, d_hidden, seed=int(rng.integers(1 << 31)))
+        params = dense(model.init(128, d_embed, d_hidden, seed=int(rng.integers(1 << 31))))
         feats = [
             data.featurize(list(rng.choice(vocab, size=rng.integers(2, 8))), 128)
             for _ in range(4)
@@ -180,7 +180,7 @@ def test_criterion_3_label_shift_correction_recovery():
     pool_feats = data.featurize_dataset(pool, pre.hash_dim)
 
     calib_feats = data.featurize_dataset(calib, pre.hash_dim)
-    calib_logits = model.forward(pre, calib_feats).logits
+    calib_logits = model.forward(dense(pre), calib_feats).logits
     calib_labels = np.asarray([ex.label for ex in calib.examples])
 
     uncorrected_prior = float(np.mean(correction.predict_labels(pre, pool_feats)))

@@ -244,6 +244,8 @@ class TestConfigMachinery:
         # a long override without "=", and a long unknown key
         pytest.param("x" * 500, id="500 characters without ="),
         pytest.param("adapt." + "x" * 500 + "=1", id="adapt.<500 characters>=1"),
+        # a value nested past the JSON parser's recursion limit
+        pytest.param("adapt.tau=" + "[" * 100_000 + "]" * 100_000, id="adapt.tau=<nested 100,000 deep>"),
         # zero-length class mean vectors
         'data.synth={"n_source": 300, "n_target": 360, "source_prior": 0.5, "target_prior": 0.9, '
         '"class_means_source": [[], []], "class_means_target": [[], []]}',
@@ -358,6 +360,52 @@ class TestConfigMachinery:
         if case == "correction_w_huge_int":
             assert len(err) < 120, err
         assert not (tmp_path / "p").exists() and not (tmp_path / "o").exists()
+
+
+# A JSON input that is not UTF-8, or nested past the parser's recursion
+# limit (RFC 8259 sections 8.1 and 9), is malformed input: exit 2 and one
+# line naming the file, and the line of a JSONL file.
+BAD_JSON = {
+    "not_utf8": b'{"text": "caf\xe9 au lait", "label": 1}',
+    "nested": b"[" * 100_000 + b"]" * 100_000,
+}
+JSON_INPUTS = ("data.source", "data.target", "data.calib", "data.target_labels",
+               "evaluate --data", "--config", "--correction")
+
+
+@pytest.mark.parametrize("where, fault", [
+    (where, fault) for where in JSON_INPUTS for fault in sorted(BAD_JSON)
+    # a non-UTF-8 correction file already exited 2 as a ValueError
+    if (where, fault) != ("--correction", "not_utf8")
+])
+def test_unreadable_json_input_exits_2_naming_the_file(pipeline_dir, tmp_path, capsys, where, fault):
+    data_dir, pre = pipeline_dir["data"], pipeline_dir["pre"]
+    bad = tmp_path / "bad.json"
+    if where.startswith("data.") or where == "evaluate --data":
+        # one good line first, so the message must name line 2
+        first = (data_dir / "source.jsonl").read_bytes().splitlines()[0]
+        bad.write_bytes(first + b"\n" + BAD_JSON[fault] + b"\n")
+    else:
+        bad.write_bytes(BAD_JSON[fault])
+    evaluate = ["evaluate", "--checkpoint", str(pre / "pretrained.npz"),
+                "--data", str(pre / "source_test.jsonl")]
+    if where.startswith("data."):
+        argv = with_data_paths(["adapt", "--config", str(pipeline_dir["cfg"]),
+                                "--set", f"output.directory={tmp_path / 'o'}",
+                                "--set", f"model.checkpoint={pre / 'pretrained.npz'}"], data_dir)
+        argv += ["--set", f"{where}={bad}"]
+    elif where == "evaluate --data":
+        argv = evaluate[:3] + ["--data", str(bad)]
+    elif where == "--config":
+        argv = ["synth", "--config", str(bad)]
+    else:
+        argv = evaluate + ["--correction", str(bad)]
+    assert main(argv) == cli.EXIT_USAGE
+    err = assert_one_line_error(capsys)
+    jsonl = where != "--config" and where != "--correction"
+    assert f"{bad}:2:" in err if jsonl else f"{bad}:" in err, err
+    assert len(err) < 300, err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")

@@ -213,9 +213,16 @@ def oracle_sq_dists(a, b):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def oracle_sq_dists_by_rows(a, b, rows=16):
+    """oracle_sq_dists a few rows of a at a time: the same per-row einsum, so
+    the same bits, without the whole (n, m, d) difference."""
+    return np.vstack([oracle_sq_dists(a[i:i + rows], b) for i in range(0, len(a), rows)]
+                     + [np.empty((0, len(b)))])
+
+
 def oracle_median_bandwidth(batch_a, batch_b):
     stacked = np.vstack([batch_a.vectors, batch_b.vectors])
-    d2 = oracle_sq_dists(stacked, stacked)
+    d2 = oracle_sq_dists_by_rows(stacked, stacked)
     med = float(np.median(d2[np.triu_indices(stacked.shape[0], k=1)]))
     return med if med >= 1e-12 else 1.0
 
@@ -246,7 +253,8 @@ def oracle_loss_and_grad(S, T, gamma):
     pass: whole-array kernels exp(-d / gamma), and the old formulas."""
     s, t = S.vectors, T.vectors
     w_ss, w_tt, w_st, skipped = oracle_class_pair_weights(S.labels, T.labels)
-    k_ss, k_tt, k_st = (np.exp(-oracle_sq_dists(a, b) / gamma) for a, b in ((s, s), (t, t), (s, t)))
+    k_ss, k_tt, k_st = (np.exp(-oracle_sq_dists_by_rows(a, b) / gamma)
+                        for a, b in ((s, s), (t, t), (s, t)))
     value = (w_ss * k_ss).sum() + (w_tt * k_tt).sum() + (w_st * k_st).sum()
     scale = -2.0 / gamma
     c_ss = scale * (w_ss + w_ss.T) * k_ss
@@ -307,11 +315,18 @@ class TestBlockedEqualsWholeArray:
                 b = EmbeddingBatch(rng.normal(size=(m, d)), rng.integers(0, 2, m))
                 dists = pairwise_sq_dists(a, b)
                 got = median_bandwidth(a, b, dists)
-                assert same_bits(got, oracle_median_bandwidth(a, b)), (n, m, d)
                 # The bandwidth leaves the shared distances for the kernels.
                 s, t = a.vectors, b.vectors
-                want = (oracle_sq_dists(s, s), oracle_sq_dists(t, t), oracle_sq_dists(s, t))
+                oracle = []
+                peak = traced_peak(lambda: oracle.extend((
+                    oracle_median_bandwidth(a, b),
+                    (oracle_sq_dists_by_rows(s, s), oracle_sq_dists_by_rows(t, t),
+                     oracle_sq_dists_by_rows(s, t)))))
+                want_gamma, want = oracle
+                assert same_bits(got, want_gamma), (n, m, d)
                 assert all(same_bits(g, w) for g, w in zip(dists, want)), (n, m, d)
+                # at 400 + 400 rows and d = 65 the whole-array oracle took 323 MiB
+                assert peak < 64 * 2 ** 20, (n, m, d, peak)
 
     def test_class_pair_weights(self):
         rng = np.random.default_rng(3)

@@ -1,17 +1,24 @@
+import copy
+import json
 import math
 
 import numpy as np
 import pytest
 
-from shiftadapt import adapt, data, model
+from shiftadapt import adapt, cli, correction, data, model
 from shiftadapt.errors import AdaptationError, ConfigError, DatasetError
-from conftest import ba_on, make_scenario, same_params
+from conftest import ba_on, dense, make_scenario, oracle_embed, same_params
+from test_mmd import traced_peak
 
 
 def toy_vec(dim=64, pairs=((3, 1.0), (17, -0.5))):
     idx = np.array([p[0] for p in pairs], dtype=np.int64)
     val = np.array([p[1] for p in pairs], dtype=np.float64)
     return data.SparseVec(idx, val, dim)
+
+
+def dense_init(hash_dim, d_embed, d_hidden, seed):
+    return dense(model.init(hash_dim, d_embed, d_hidden, seed))
 
 
 class TestInit:
@@ -26,7 +33,7 @@ class TestInit:
         assert np.all(p.out_b == 0.0)
 
     def test_uniform_bound_on_out_w(self):
-        p = model.init(64, 16, 9, seed=1)
+        p = dense_init(64, 16, 9, seed=1)
         assert np.abs(p.out_w).max() <= 1.0 / math.sqrt(9)
         assert np.abs(p.hidden_w).max() <= 1.0 / math.sqrt(16)
         assert np.abs(p.embed).max() <= 1.0 / math.sqrt(64)
@@ -34,11 +41,54 @@ class TestInit:
     def test_bad_dims(self):
         with pytest.raises(ConfigError):
             model.init(0, 4, 4, seed=0)
+        with pytest.raises(ConfigError):
+            model.init(64, 4, 4, seed=-1)
+
+    @pytest.mark.parametrize("shape", [(64, 8, 4, 0), (4096, 32, 32, 3), (1000, 7, 5, 12345)])
+    def test_holds_no_row_and_draws_the_dense_blocks_after_the_table(self, shape):
+        hash_dim, d_embed, d_hidden, seed = shape
+        m = model.init(*shape)
+        assert (m.hash_dim, m.seed, m.rows.dtype, m.embed.shape) == (
+            hash_dim, seed, np.int64, (0, d_embed))
+        rng = np.random.default_rng(seed)
+        rng.uniform(size=(hash_dim, d_embed))  # the table's draws
+        hidden_w = rng.uniform(-1 / np.sqrt(d_embed), 1 / np.sqrt(d_embed), size=(d_embed, d_hidden))
+        out_w = rng.uniform(-1 / np.sqrt(d_hidden), 1 / np.sqrt(d_hidden), size=(d_hidden, 2))
+        assert np.array_equal(m.hidden_w, hidden_w) and np.array_equal(m.out_w, out_w)
+
+    def test_wide_init_holds_no_table(self):
+        # The whole (2^18, 32) table is 64 MiB.
+        assert traced_peak(lambda: model.init(2 ** 18, 32, 32, 0)) < 4 * 2 ** 20
+
+
+class TestInitRows:
+    """_init_rows redraws rows of init's table bit for bit."""
+
+    @pytest.mark.parametrize("hash_dim, d_embed, seed", [
+        (1, 1, 0), (64, 8, 0), (1000, 7, 3), (4096, 32, 11), (2 ** 18, 32, 0)])
+    def test_rows_equal_the_whole_draw(self, hash_dim, d_embed, seed):
+        table = oracle_embed(seed, hash_dim, d_embed)
+        gap = model._RUN_GAP
+        rng = np.random.default_rng(hash_dim)
+        cases = [
+            [], [0], [hash_dim - 1], [0, hash_dim - 1], list(range(min(hash_dim, 300))),
+            # consecutive rows gap and gap + 1 apart: one run, then two
+            [0, gap, 2 * gap + 1], [5, 5 + gap + 1, 5 + 2 * gap + 1],
+            sorted(rng.choice(hash_dim, size=min(hash_dim, 200), replace=False)),
+        ]
+        if hash_dim <= 4096:
+            cases.append(range(hash_dim))  # every row
+        for case in cases:
+            rows = np.unique(np.asarray(case, np.int64))
+            rows = rows[rows < hash_dim]
+            got = model._init_rows(seed, hash_dim, d_embed, rows)
+            assert got.shape == (rows.size, d_embed)
+            assert np.array_equal(got.view(np.int64), table[rows].view(np.int64)), case
 
 
 class TestForward:
     def test_zero_input(self):
-        p = model.init(64, 8, 4, seed=0)
+        p = dense_init(64, 8, 4, seed=0)
         p.hidden_b[:] = np.linspace(-1, 1, 4)
         empty = data.SparseVec(np.empty(0, np.int64), np.empty(0, np.float64), 64)
         rec = model.forward(p, [empty, empty])
@@ -46,7 +96,7 @@ class TestForward:
         assert np.array_equal(rec.logits, rec.phi @ p.out_w + p.out_b)
 
     def test_doubling_input_doubles_preactivation_when_bias_zero(self):
-        p = model.init(64, 8, 4, seed=0)  # hidden_b is zero at init
+        p = dense_init(64, 8, 4, seed=0)  # hidden_b is zero at init
         x = toy_vec()
         x2 = data.SparseVec(x.indices, 2.0 * x.values, x.dim)
         r1, r2 = model.forward(p, [x, x]), model.forward(p, [x2, x2])
@@ -54,13 +104,13 @@ class TestForward:
         assert np.array_equal(r2.phi, np.tanh(2.0 * (r1.embedded @ p.hidden_w)))
 
     def test_deterministic(self):
-        p = model.init(64, 8, 4, seed=0)
+        p = dense_init(64, 8, 4, seed=0)
         x = toy_vec()
         a, b = model.forward(p, [x]), model.forward(p, [x])
         assert np.array_equal(a.phi, b.phi) and np.array_equal(a.logits, b.logits)
 
     def test_batch_matches_dense_reference(self):
-        p = model.init(64, 8, 4, seed=0)
+        p = dense_init(64, 8, 4, seed=0)
         feats = [toy_vec(), toy_vec(pairs=((5, 2.0),)), toy_vec(pairs=((3, 0.5), (63, 1.5)))]
         rec = model.forward(p, feats)
         dense = np.zeros((len(feats), 64))
@@ -74,13 +124,13 @@ class TestForward:
         assert model.forward(p, []).logits.shape == (0, 2)
 
     def test_dim_mismatch(self):
-        p = model.init(64, 8, 4, seed=0)
+        p = dense_init(64, 8, 4, seed=0)
         with pytest.raises(ValueError):
             model.forward(p, [toy_vec(), toy_vec(dim=128)])
 
     def test_overflowing_preactivation_raises(self):
         # tanh would map the overflowed pre-activation to a finite phi
-        p = model.init(64, 8, 4, seed=0)
+        p = dense_init(64, 8, 4, seed=0)
         p.embed[3] = 1e300
         p.hidden_w[:] = 1e300
         with pytest.raises(FloatingPointError, match="pre-activation"):
@@ -150,7 +200,7 @@ def nll_batch_grads(params, feats, labels):
 
 class TestBackward:
     def setup_method(self):
-        self.params = model.init(64, 5, 4, seed=3)
+        self.params = dense_init(64, 5, 4, seed=3)
         texts = ["a b c", "b c d", "x y", "a d x"]
         self.feats = [data.featurize(data.preprocess(t), 64) for t in texts]
         self.labels = [0, 1, 1, 0]
@@ -228,7 +278,7 @@ class TestOptimizer:
     def test_adam_first_step(self):
         """From zero moments, one step moves each entry by lr * g / (|g| + eps);
         an entry whose gradient is zero stays bit-identical."""
-        p = model.init(16, 4, 4, seed=0)
+        p = dense_init(16, 4, 4, seed=0)
         before = p.copy()
         g = model.ModelParams.zeros_like(p)
         g.out_b[:] = [1.0, -2.0]
@@ -246,7 +296,7 @@ class TestOptimizer:
 
     def test_adam_deterministic(self):
         def run():
-            p = model.init(16, 4, 4, seed=0)
+            p = dense_init(16, 4, 4, seed=0)
             opt = model.Optimizer(1e-3, p)
             rng = np.random.default_rng(4)
             for _ in range(5):
@@ -259,7 +309,7 @@ class TestOptimizer:
 
     def test_in_place_step_matches_formula(self):
         """30 steps on 30%-sparse gradients equal the allocating formula bit for bit."""
-        p = model.init(64, 8, 4, seed=0)
+        p = dense_init(64, 8, 4, seed=0)
         ref = p.copy()
         m, v = model.ModelParams.zeros_like(p), model.ModelParams.zeros_like(p)
         opt = model.Optimizer(1e-2, p)
@@ -280,32 +330,41 @@ class TestOptimizer:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_second_moment_overflow_raises(self):
-        p = model.init(16, 4, 4, seed=0)
+        p = dense_init(16, 4, 4, seed=0)
         g = model.ModelParams.zeros_like(p)
         g.hidden_w[0, 0] = 1e300
         with pytest.raises(FloatingPointError, match="second moment of hidden_w"):
             model.Optimizer(1e-3, p).step(p, g)
 
 
-def unread_rows(params, *datasets):
-    """Mask of the embedding rows that no featurized example of datasets reads."""
-    mask = np.ones(params.hash_dim, dtype=bool)
+def unread_rows(m, *datasets):
+    """The embedding rows that no featurized example of datasets reads."""
+    mask = np.ones(m.hash_dim, dtype=bool)
     for ds in datasets:
-        for x in data.featurize_dataset(ds, params.hash_dim):
+        for x in data.featurize_dataset(ds, m.hash_dim):
             mask[x.indices] = False
-    return mask
+    return np.flatnonzero(mask)
+
+
+def init_values_of_unheld(m, rows):
+    """rows are not held by m, and compact gives them init's values."""
+    assert not np.isin(rows, m.rows).any()
+    small, got, _ = model.compact(m, [data.SparseVec(rows, np.ones(rows.size), m.hash_dim)])
+    assert np.array_equal(got, rows)
+    return np.array_equal(small.embed, oracle_embed(m.seed, m.hash_dim, m.d_embed)[rows])
 
 
 class TestCompact:
     def test_steps_on_compact_rows_match_full_steps_bit_for_bit(self):
         rng = np.random.default_rng(7)
-        full = model.init(64, 4, 5, seed=1)
+        m = model.init(64, 4, 5, seed=1)
+        full = dense(m)
         read = rng.choice(64, size=20, replace=False)
         feats = []
         for _ in range(12):
             idx = np.sort(rng.choice(read, size=rng.integers(0, 6), replace=False))
             feats.append(data.SparseVec(idx.astype(np.int64), rng.normal(size=idx.size), 64))
-        small, rows, (small_feats,) = model.compact(full, feats)
+        small, rows, (small_feats,) = model.compact(m, feats)
         assert np.array_equal(rows, np.unique(np.concatenate([x.indices for x in feats])))
         for x, y in zip(feats, small_feats):
             assert np.array_equal(rows[y.indices], x.indices) and y.values is x.values
@@ -318,52 +377,78 @@ class TestCompact:
             for params, opt, fs in ((full, opt_full, feats), (small, opt_small, small_feats)):
                 rec = model.forward(params, [fs[i] for i in batch])
                 opt.step(params, model.backward(params, rec, gl, gp))
-        out = model.expand(start, small, rows)
-        for got, want in zip(out.blocks(), full.blocks()):
-            assert np.array_equal(got, want)
-        unread = np.setdiff1d(np.arange(64), rows)
-        assert np.array_equal(out.embed[unread], start.embed[unread])
-        assert not np.array_equal(out.embed[rows], start.embed[rows])
+        out = model.expand(m, small, rows)
+        assert np.array_equal(out.rows, rows) and same_params(out, full)
+        assert init_values_of_unheld(out, np.setdiff1d(np.arange(64), rows))
+        assert not np.array_equal(out.embed, start.embed[rows])
+
+    def test_compact_takes_held_rows_from_the_table(self):
+        m = model.init(64, 4, 5, seed=1)
+        small, rows, _ = model.compact(m, [toy_vec()])
+        small.embed += 1.0
+        held = model.expand(m, small, rows)
+        again, rows2, _ = model.compact(held, [toy_vec(pairs=((3, 1.0), (40, 1.0)))])
+        assert rows2.tolist() == [3, 40]
+        assert np.array_equal(again.embed[0], dense(m).embed[3] + 1.0)
+        assert np.array_equal(again.embed[1], dense(m).embed[40])
+        # expand merges: row 17 stays held, row 40 joins
+        merged = model.expand(held, again, rows2)
+        assert merged.rows.tolist() == [3, 17, 40]
+        assert np.array_equal(merged.embed, np.vstack([again.embed[0], held.embed[1], again.embed[1]]))
 
     def test_compact_and_expand_leave_their_inputs_alone(self):
-        full = model.init(64, 4, 5, seed=1)
-        before = full.copy()
-        small, rows, _ = model.compact(full, [toy_vec()], [toy_vec(pairs=((40, 1.0),))])
+        m = model.init(64, 4, 5, seed=1)
+        before = copy.deepcopy(m)
+        small, rows, _ = model.compact(m, [toy_vec()], [toy_vec(pairs=((40, 1.0),))])
         assert rows.tolist() == [3, 17, 40]
         for block in small.blocks():
             block += 1.0
-        out = model.expand(full, small, rows)
-        assert same_params(full, before)
-        assert np.array_equal(out.embed[rows], before.embed[rows] + 1.0)
+        out = model.expand(m, small, rows)
+        assert same_params(m, before) and m.rows.size == 0
+        assert np.array_equal(out.embed, dense(before).embed[rows] + 1.0)
         with pytest.raises(ValueError):
-            model.compact(full, [toy_vec(dim=128)])
+            model.compact(m, [toy_vec(dim=128)])
+
+    def test_predict_labels_equals_forward_on_the_dense_table(self, small_pretrained):
+        m = small_pretrained["params"]
+        feats = data.featurize_dataset(small_pretrained["pool"], m.hash_dim)
+        logits = model.forward(dense(m), feats).logits
+        small, _, (small_feats,) = model.compact(m, feats)
+        assert np.array_equal(model.forward(small, small_feats).logits.view(np.int64),
+                              logits.view(np.int64))
+        want = np.argmax(model.softmax(logits), axis=1).tolist()
+        assert correction.predict_labels(m, feats) == want
 
     def test_pretrain_returns_unread_rows_unchanged(self):
+        # An unread row is not held, and compact gives it init's value.
         source, _, _ = make_scenario(seed=12, n_source=120)
         train, val, _ = data.split(source, (0.7, 0.1, 0.2), seed=0)
-        params = model.init(4096, 8, 8, seed=1)
-        before = params.copy()
-        out = model.pretrain(params, train, val, model.TrainConfig(max_epochs=2, seed=5))
-        unread = unread_rows(params, train, val)
-        assert 0 < unread.sum() < params.hash_dim
-        assert np.array_equal(out.embed[unread], params.embed[unread])
-        assert not np.array_equal(out.embed[~unread], params.embed[~unread])
-        assert same_params(params, before)
+        m = model.init(4096, 8, 8, seed=1)
+        before = copy.deepcopy(m)
+        out = model.pretrain(m, train, val, model.TrainConfig(max_epochs=2, seed=5))
+        unread = unread_rows(m, train, val)
+        assert 0 < unread.size < m.hash_dim
+        assert np.array_equal(out.rows, np.setdiff1d(np.arange(m.hash_dim), unread))
+        assert init_values_of_unheld(out, unread)
+        assert not np.array_equal(out.embed, dense(m).embed[out.rows])
+        assert same_params(m, before) and m.rows.size == 0
 
     @pytest.mark.parametrize("learning_rate", [1e-3, 1e-12])
     def test_run_adaptation_returns_unread_rows_unchanged(self, small_pretrained, learning_rate):
         p = small_pretrained
-        params, before = p["params"], p["params"].copy()
+        m, before = p["params"], copy.deepcopy(p["params"])
         cfg = adapt.AdaptConfig(epochs=2, seed=0, learning_rate=learning_rate)
-        out, trace = adapt.run_adaptation(params, p["train"], p["pool"], p["calib"], cfg)
-        unread = unread_rows(params, p["train"], p["pool"], p["calib"])
-        assert unread.sum() > 0
-        assert np.array_equal(out.embed[unread], params.embed[unread])
-        assert same_params(params, before)
+        out, trace = adapt.run_adaptation(m, p["train"], p["pool"], p["calib"], cfg)
+        # the input's rows, and the rows source, target and calib read
+        read = np.setdiff1d(np.arange(m.hash_dim), unread_rows(m, p["train"], p["pool"], p["calib"]))
+        assert np.array_equal(out.rows, np.union1d(m.rows, read))
+        unheld = np.setdiff1d(np.arange(m.hash_dim), out.rows)
+        assert unheld.size > 0 and init_values_of_unheld(out, unheld)
+        assert same_params(m, before) and np.array_equal(m.rows, before.rows)
         if learning_rate == 1e-12:  # no prediction moves, so no epoch beats the input
-            assert trace.best_epoch == 0 and same_params(out, params)
+            assert trace.best_epoch == 0 and same_params(out, m)
         else:
-            assert trace.best_epoch > 0 and not same_params(out, params)
+            assert trace.best_epoch > 0 and not same_params(out, m)
 
 
 class TestPretrain:
@@ -436,32 +521,111 @@ class TestPretrain:
                            model.TrainConfig(max_epochs=20))
 
 
+def held_model(hash_dim=128, d_embed=8, d_hidden=4, seed=7):
+    """A model that holds three rows, among them the last, moved off init's values."""
+    m = model.init(hash_dim, d_embed, d_hidden, seed)
+    small, rows, _ = model.compact(m, [toy_vec(hash_dim, ((3, 1.0), (17, -0.5), (hash_dim - 1, 2.0)))])
+    for block in small.blocks():
+        block += 0.25
+    return model.expand(m, small, rows)
+
+
+def write_meta(arrays, meta):
+    text = meta if isinstance(meta, bytes) else json.dumps(meta).encode()
+    arrays["meta"] = np.frombuffer(text, dtype=np.uint8)
+
+
+def set_rows(a, meta, rows):
+    a["rows"] = np.asarray(rows, dtype=np.int64)
+
+
+# Each case breaks a version-2 file of held_model(): arrays and meta in place.
+MALFORMED = {
+    "unsorted rows": lambda a, meta: set_rows(a, meta, [17, 3, 127]),
+    "duplicate rows": lambda a, meta: set_rows(a, meta, [3, 3, 127]),
+    "a row at hash_dim": lambda a, meta: set_rows(a, meta, [3, 17, 128]),
+    "a negative row": lambda a, meta: set_rows(a, meta, [-1, 17, 127]),
+    "int32 rows": lambda a, meta: a.update(rows=a["rows"].astype(np.int32)),
+    "2-D rows": lambda a, meta: a.update(rows=a["rows"][None]),
+    "a table with a row too few": lambda a, meta: a.update(embed=a["embed"][:-1]),
+    "a table too narrow": lambda a, meta: a.update(embed=a["embed"][:, :-1]),
+    "a negative seed": lambda a, meta: meta.update(seed=-1),
+    "a missing seed": lambda a, meta: meta.pop("seed"),
+    "a float seed": lambda a, meta: meta.update(seed=7.0),
+    "a zero hash_dim": lambda a, meta: meta.update(hash_dim=0),
+    "an infinite table entry": lambda a, meta: a["embed"].__setitem__((1, 2), np.inf),
+    "a NaN block": lambda a, meta: a["out_w"].__setitem__((0, 0), np.nan),
+    "a float32 block": lambda a, meta: a.update(hidden_b=a["hidden_b"].astype(np.float32)),
+    "no rows array": lambda a, meta: a.pop("rows"),
+    "no hidden_w array": lambda a, meta: a.pop("hidden_w"),
+    "meta not UTF-8": lambda a, meta: meta.update(raw=b'{"version": 2, "x": "\xff"}'),
+    "meta nested too deep": lambda a, meta: meta.update(raw=b"[" * 100_000 + b"]" * 100_000),
+    "meta not an object": lambda a, meta: meta.update(raw=b"[2]"),
+}
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
-        p = model.init(128, 8, 4, seed=7)
+        m = held_model()
         path = tmp_path / "ck.npz"
-        model.save_checkpoint(p, path)
+        model.save_checkpoint(m, path)
         loaded = model.load_checkpoint(path)
-        for a, b in zip(p.blocks(), loaded.blocks()):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (loaded.hash_dim, loaded.seed) == (128, 7)
+        for name in ("rows", *model.PARAM_BLOCKS):
+            a, b = getattr(m, name), getattr(loaded, name)
+            assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64)), name
+        assert loaded.rows.tolist() == [3, 17, 127] and same_params(loaded, m)
+        with np.load(path) as npz:
+            assert sorted(npz.files) == sorted(["meta", "rows", *model.PARAM_BLOCKS])
+            meta = json.loads(bytes(npz["meta"]))
+        assert meta == {"version": 2, "hash_dim": 128, "seed": 7, "d_embed": 8, "d_hidden": 4}
+
+    def test_wide_adapted_round_trip_holds_no_table(self, tmp_path):
+        # At 2^18 x 32 the whole table would be 64 MiB, on disk as in memory.
+        source, pool, calib = make_scenario(seed=12, n_source=300, n_target=300)
+        train, val, _ = data.split(source, (0.7, 0.1, 0.2), seed=0)
+        m = model.pretrain(model.init(2 ** 18, 32, 32, 0), train, val, model.TrainConfig(seed=0))
+        m, trace = adapt.run_adaptation(m, train, pool, calib, adapt.AdaptConfig(epochs=1))
+        assert 0 < m.rows.size < 5000 and trace.epochs
+        path = tmp_path / "adapted.npz"
+        loaded = []
+        peak = traced_peak(lambda: (model.save_checkpoint(m, path),
+                                    loaded.append(model.load_checkpoint(path))))
+        assert peak < 4 * 2 ** 20
+        assert path.stat().st_size < m.rows.size * 32 * 8 + 64 * 1024
+        assert np.array_equal(loaded[0].rows, m.rows) and np.array_equal(loaded[0].embed, m.embed)
+
+    def test_version_1_is_refused_by_name(self, tmp_path, capsys):
+        # Version 1 held the whole table and no seed or rows.
+        p = dense_init(16, 4, 4, seed=0)
+        path = tmp_path / "v1.npz"
+        arrays = {b: getattr(p, b) for b in model.PARAM_BLOCKS}
+        write_meta(arrays, {"version": 1, "hash_dim": 16, "d_embed": 4, "d_hidden": 4})
+        np.savez(path, **arrays)
+        with pytest.raises(ConfigError, match="checkpoint version 1 is not supported"):
+            model.load_checkpoint(path)
+        assert cli.main(["evaluate", "--checkpoint", str(path), "--data", "unused.jsonl"]) == 2
+        assert "version 1 " in assert_one_error_line(capsys)
 
     def test_version_enforced(self, tmp_path):
         p = model.init(16, 4, 4, seed=0)
         path = tmp_path / "ck.npz"
         model.save_checkpoint(p, path)
-        import json
-
-        import numpy as np
-
-        with np.load(path) as npz:
-            arrays = {k: npz[k] for k in npz.files}
-        meta = json.loads(bytes(arrays["meta"]).decode())
-        meta["version"] = 99
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
-        with pytest.raises(ConfigError):
-            model.load_checkpoint(path)
-
+        for version in (99, "2", None):
+            with np.load(path) as npz:
+                arrays = {k: npz[k] for k in npz.files}
+            meta = json.loads(bytes(arrays["meta"]).decode())
+            meta["version"] = version
+            write_meta(arrays, meta)
+            np.savez(path, **arrays)
+            with pytest.raises(ConfigError, match="version"):
+                model.load_checkpoint(path)
 
     @pytest.mark.parametrize("block, value", [
         ("out_w", np.full((4, 2), np.nan)),
@@ -480,6 +644,26 @@ class TestCheckpoint:
         np.savez(path, **arrays)
         with pytest.raises(ConfigError):
             model.load_checkpoint(path)
+
+    @staticmethod
+    def saved(tmp_path):
+        path = tmp_path / "ck.npz"
+        model.save_checkpoint(held_model(), path)
+        with np.load(path) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        return arrays, json.loads(bytes(arrays["meta"]))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_version_2_exits_2_with_one_line(self, tmp_path, capsys, case):
+        arrays, meta = self.saved(tmp_path)
+        MALFORMED[case](arrays, meta)
+        write_meta(arrays, meta.pop("raw", meta))
+        path = tmp_path / "bad.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ConfigError):
+            model.load_checkpoint(path)
+        assert cli.main(["evaluate", "--checkpoint", str(path), "--data", "unused.jsonl"]) == 2
+        assert str(path) in assert_one_error_line(capsys)
 
 
 class TestTrainConfig:
@@ -508,5 +692,5 @@ class TestLogitsBa:
         feats = data.featurize_dataset(calib, params.hash_dim)
         labels = [ex.label for ex in calib.examples]
         cm = metrics.confusion(correction.predict_labels(params, feats), labels)
-        logits = model.forward(params, feats).logits
+        logits = model.forward(dense(params), feats).logits
         assert model.logits_ba(logits, labels) == metrics.balanced_accuracy(cm)
