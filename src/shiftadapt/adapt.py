@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .correction import CorrectionParams, fit_correction, pseudo_label
-from .data import Dataset, featurize_dataset
+from .data import Dataset, SparseVec, featurize_dataset
 from .errors import AdaptationError, ConfigError, DatasetError, EmptyPseudoLabelSetError
 from .mmd import (EmbeddingBatch, contrastive_grad, contrastive_loss, kernel_blocks,
                   median_bandwidth, pairwise_sq_dists)
@@ -133,6 +133,8 @@ def run_adaptation(
     target: Dataset,
     calib: Dataset,
     cfg: AdaptConfig,
+    *,
+    target_feats: Optional[Sequence[SparseVec]] = None,
 ) -> tuple[Model, AdaptTrace]:
     """Adapt a source-pretrained model to an unlabeled target domain.
 
@@ -142,7 +144,9 @@ def run_adaptation(
     the full trace. Bit-reproducible for fixed inputs and seed. Training runs
     on the embedding rows source, target and calib read (`compact`);
     the other rows come back unchanged. AdaptationError, naming the epoch,
-    when training leaves the float range.
+    when training leaves the float range. target_feats, when given, is
+    featurize_dataset(target, model.hash_dim), made by the caller: the pool
+    is then not featurized again.
     """
     if not source.is_fully_labeled():
         raise DatasetError("source dataset must be fully labeled")
@@ -152,7 +156,9 @@ def run_adaptation(
         raise DatasetError("calibration dataset must be non-empty and fully labeled")
 
     work, rows, (src_feats, tgt_feats, calib_feats) = compact(
-        model, *(featurize_dataset(ds, model.hash_dim) for ds in (source, target, calib)))
+        model, featurize_dataset(source, model.hash_dim),
+        featurize_dataset(target, model.hash_dim) if target_feats is None else target_feats,
+        featurize_dataset(calib, model.hash_dim))
     src_labels = np.asarray([ex.label for ex in source.examples])
     calib_labels = np.asarray([ex.label for ex in calib.examples])
     tgt_truth = (np.asarray([ex.label for ex in target.examples])

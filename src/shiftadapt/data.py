@@ -220,28 +220,39 @@ def fnv1a_64(data: bytes, h: int = _FNV_OFFSET) -> int:
     return h
 
 
-def featurize(tokens: Sequence[str], dim: int) -> SparseVec:
+def featurize(tokens: Sequence[str], dim: int, hashes: Optional[dict] = None) -> SparseVec:
     """Hash unigrams and adjacent bigrams into a sparse vector of width dim.
 
     Term counts are scaled by 1/sqrt(len(tokens)). dim must be a power of two
     (the hash is reduced by masking). The empty token list yields the empty
-    vector.
+    vector. hashes, when given, is a table of unmasked 64-bit hashes that
+    calls share (see featurize_dataset): a token maps to its hash and a
+    (previous token's hash, token) pair to the bigram's. A gram missing from
+    it is hashed and added; one found is not hashed again.
     """
     if dim < 2 or dim & (dim - 1) != 0:
         raise ConfigError(f"dim must be a power of two >= 2, got {dim}")
     if not tokens:
         return SparseVec(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), dim)
+    if hashes is None:
+        hashes = {}
     mask = dim - 1
     counts: dict[int, int] = {}
     prev = None
     for tok in tokens:
-        encoded = tok.encode("utf-8")
-        h = fnv1a_64(encoded)
+        h = hashes.get(tok)
+        if h is None:
+            h = hashes[tok] = fnv1a_64(tok.encode("utf-8"))
         idx = h & mask
         counts[idx] = counts.get(idx, 0) + 1
         if prev is not None:
-            # the hash of prev_tok + "\x1f" + tok, continued from prev_tok's
-            idx = fnv1a_64(encoded, fnv1a_64(_BIGRAM_JOIN, prev)) & mask
+            pair = (prev, tok)
+            bigram = hashes.get(pair)
+            if bigram is None:
+                # the hash of prev_tok + "\x1f" + tok, continued from prev_tok's
+                bigram = hashes[pair] = fnv1a_64(tok.encode("utf-8"),
+                                                 fnv1a_64(_BIGRAM_JOIN, prev))
+            idx = bigram & mask
             counts[idx] = counts.get(idx, 0) + 1
         prev = h
     scale = 1.0 / math.sqrt(len(tokens))
@@ -252,7 +263,15 @@ def featurize(tokens: Sequence[str], dim: int) -> SparseVec:
 
 
 def featurize_dataset(ds: Dataset, dim: int) -> list[SparseVec]:
-    return [featurize(preprocess(ex.text), dim) for ex in ds.examples]
+    """featurize(preprocess(text), dim) for each example, in order.
+
+    The calls share one hash table that lives for this call only, so each
+    distinct token and bigram of the dataset is hashed once. The table holds
+    unmasked hashes and is freed on return: nothing carries over to the next
+    call.
+    """
+    hashes: dict = {}
+    return [featurize(preprocess(ex.text), dim, hashes) for ex in ds.examples]
 
 
 @dataclass

@@ -146,6 +146,28 @@ class TestRunAdaptation:
         assert calls == {"class_aware_sample": len(trace.iterations),
                          "pseudo_label": cfg.epochs, "fit_correction": cfg.epochs}
 
+    def test_given_pool_features_give_the_same_bits(self, small_pretrained, adapted_run,
+                                                    monkeypatch):
+        """Pool features made by the caller: the same model bits and trace as
+        when run_adaptation featurizes the pool, and the pool is not featurized."""
+        cfg, params, trace = adapted_run
+        pool = small_pretrained["pool"]
+        pool_feats = data.featurize_dataset(pool, params.hash_dim)
+        seen = []
+        real = adapt.featurize_dataset
+        monkeypatch.setattr(adapt, "featurize_dataset",
+                            lambda ds, dim: seen.append(ds) or real(ds, dim))
+        params2, trace2 = run_adaptation(
+            small_pretrained["params"], small_pretrained["train"], pool,
+            small_pretrained["calib"], cfg, target_feats=pool_feats,
+        )
+        assert all(ds is not pool for ds in seen) and len(seen) == 2
+        assert dataclasses.asdict(trace2) == dataclasses.asdict(trace)
+        for name in ("rows", "embed", "hidden_w", "hidden_b", "out_w", "out_b"):
+            a, b = getattr(params, name), getattr(params2, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (params2.hash_dim, params2.seed) == (params.hash_dim, params.seed)
+
     def test_trace_shape_and_finiteness(self, adapted_run):
         cfg, _, trace = adapted_run
         n_pseudo_first = trace.epochs[0].n_pseudo

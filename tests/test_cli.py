@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftadapt import cli, config, correction, data, metrics, model
+from shiftadapt import adapt, cli, config, correction, data, metrics, model
 from shiftadapt.adapt import EpochRecord
 from shiftadapt.cli import main
 from shiftadapt.errors import ConfigError
@@ -498,6 +498,32 @@ class TestAdapt:
         other_texts = f"data.target_labels={pipeline_dir['data']}/calib.jsonl"
         for name, extra in (("unlabelled", "data.target_labels=null"), ("other", other_texts)):
             assert pseudo_accuracies(name, "--set", extra) == [None] * len(labelled)
+
+    @pytest.mark.parametrize("labels_file, shared", [("target_labels", True), ("calib", False)])
+    def test_pool_featurized_once_when_target_labels_holds_it(self, pipeline_dir, tmp_path,
+                                                              monkeypatch, labels_file, shared):
+        # target_labels with the pool's texts: its features also feed training,
+        # so the pool is featurized once. Other texts: both sets are featurized.
+        # Either way, the outputs equal a run that featurizes the pool again.
+        extra = ("--set", f"data.target_labels={pipeline_dir['data']}/{labels_file}.jsonl")
+        seen = []
+        real = data.featurize_dataset
+        spy = lambda ds, dim: seen.append(ds.name) or real(ds, dim)
+        monkeypatch.setattr(data, "featurize_dataset", spy)
+        monkeypatch.setattr(adapt, "featurize_dataset", spy)
+        assert main(self.adapt_args(pipeline_dir, tmp_path / "one", *extra)) == 0
+        expected = [labels_file, "source/train", "calib"] + ([] if shared else ["target"])
+        assert sorted(seen) == sorted(expected)
+
+        real_run = adapt.run_adaptation
+        monkeypatch.setattr(adapt, "run_adaptation",
+                            lambda *args, target_feats=None: real_run(*args))
+        seen.clear()
+        assert main(self.adapt_args(pipeline_dir, tmp_path / "again", *extra)) == 0
+        # shared: the pool is the target_labels dataset, featurized again
+        assert sorted(seen) == sorted(expected + ([labels_file] if shared else []))
+        for name in ("adapted.npz", "trace.csv", "summary.json"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
     def test_warns_when_no_epoch_beats_the_input_model(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "kept"

@@ -315,6 +315,89 @@ class TestFeaturize:
         assert sv.values.sum() == pytest.approx(5 / math.sqrt(3))
 
 
+def token_lists(seed, n, vocab, max_len=20):
+    rng = np.random.default_rng(seed)
+    return [[str(t) for t in rng.choice(vocab, size=rng.integers(1, max_len))] for _ in range(n)]
+
+
+def assert_same_vec(a, b):
+    assert a.dim == b.dim
+    assert a.indices.dtype == b.indices.dtype and a.indices.tobytes() == b.indices.tobytes()
+    assert a.values.dtype == b.values.dtype and a.values.tobytes() == b.values.tobytes()
+
+
+class TestFeaturizeHashTable:
+    """featurize with a shared hash table gives the bytes it gives without one."""
+
+    VOCAB = [f"w{i}" for i in range(30)] + ["é", "naïve", "٣٤", "中文", "Ⅻ", "<url>", "🙂"]
+
+    def test_matches_no_table_and_the_oracle(self):
+        table = {}
+        for i, toks in enumerate(token_lists(4, 80, self.VOCAB)):
+            dim = (512, 2**18)[i % 2]
+            got = data.featurize(toks, dim, table)
+            assert_same_vec(got, data.featurize(toks, dim))
+            oracle = naive_featurize(toks, dim)
+            assert got.indices.tobytes() == np.array(list(oracle), dtype=np.int64).tobytes()
+            assert got.values.tobytes() == np.array(list(oracle.values())).tobytes()
+
+    def test_one_table_across_dims_and_datasets(self):
+        first = token_lists(5, 40, self.VOCAB)
+        second = token_lists(6, 40, self.VOCAB[::-1])
+        table = {}
+        for toks in first:  # prefill from one dataset at the smallest width
+            data.featurize(toks, 2, table)
+        filled = len(table)
+        for dim in (2**k for k in range(1, 19)):
+            for toks in second + first:
+                assert_same_vec(data.featurize(toks, dim, table), data.featurize(toks, dim))
+        assert len(table) > filled  # the second dataset added its own grams
+
+    def test_table_holds_unmasked_hashes(self):
+        table = {}
+        data.featurize(["naïve", "中文", "naïve"], 64, table)
+        h = {t: data.fnv1a_64(t.encode()) for t in ("naïve", "中文")}
+        bigram = lambda a, b: data.fnv1a_64(f"{a}\x1f{b}".encode())
+        assert table == {"naïve": h["naïve"], "中文": h["中文"],
+                         (h["naïve"], "中文"): bigram("naïve", "中文"),
+                         (h["中文"], "naïve"): bigram("中文", "naïve")}
+
+    @pytest.mark.parametrize("toks", [["中文"], ["a"] * 7, ["é", "é", "🙂", "é", "é"], ["Ⅻ"]],
+                             ids=["single-non-ascii", "repeated", "mixed", "single"])
+    def test_edge_texts_fresh_and_prefilled(self, toks):
+        prefilled = {}
+        for other in token_lists(7, 10, self.VOCAB):
+            data.featurize(other, 1024, prefilled)
+        for table in ({}, prefilled):
+            for dim in (2, 1024, 2**18):
+                assert_same_vec(data.featurize(toks, dim, table), data.featurize(toks, dim))
+
+    def test_dataset_matches_per_text_featurize(self):
+        # long_docs-shaped texts: 48 coordinates, so 48 tokens and 47 bigrams each
+        cfg = synth_cfg(n_source=150, n_target=150,
+                        class_means_source=[[0.0] * 48, [1.0] * 48],
+                        class_means_target=[[-0.5] * 48, [0.5] * 48])
+        for ds in data.gen_synthetic(cfg):
+            for dim in (2, 1024, 2**18):
+                got = data.featurize_dataset(ds, dim)
+                assert len(got) == len(ds)
+                for vec, ex in zip(got, ds.examples):
+                    assert_same_vec(vec, data.featurize(data.preprocess(ex.text), dim))
+
+    def test_dataset_hashes_each_gram_once_and_keeps_nothing(self, monkeypatch):
+        ds = data.Dataset([data.Example("a b a b c", 0), data.Example("b c a b", 1),
+                           data.Example("c", 0)])
+        calls = []
+        real = data.fnv1a_64
+        monkeypatch.setattr(data, "fnv1a_64", lambda raw, *h: calls.append(raw) or real(raw, *h))
+        data.featurize_dataset(ds, 64)
+        # 3 unigrams; 4 distinct bigrams (ab, ba, bc, ca), two hash calls each
+        assert len(calls) == 3 + 2 * 4
+        calls.clear()
+        data.featurize_dataset(ds, 64)  # a second call starts from an empty table
+        assert len(calls) == 3 + 2 * 4
+
+
 def synth_cfg(**overrides):
     base = dict(
         n_source=100,

@@ -7,7 +7,9 @@ check: its imports are the public re-exports.
 
 A memo (functools.cache, lru_cache, cached_property) would raise peak memory
 and, in a process that runs several pipelines, carry work from one run to the
-next, so the library keeps no state between calls.
+next, so the library keeps no state between calls. For the same reason no
+module binds a mutable container at module level: a cache must live inside
+the call that fills it, as featurize_dataset's hash table does.
 """
 import ast
 from pathlib import Path
@@ -81,3 +83,60 @@ def test_the_check_sees_a_memo():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_keeps_no_memo(path):
     assert memo_uses(path.read_text(encoding="utf-8")) == []
+
+
+MUTABLE_CALLS = frozenset({"dict", "list", "set", "defaultdict", "OrderedDict", "Counter",
+                           "deque"})
+MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def module_level_containers(source: str) -> list[int]:
+    """The lines of module-level assignments of a mutable container: a dict,
+    list or set display or comprehension, or a call of a container type, bare
+    or as an attribute (collections.defaultdict). Statements under a
+    module-level if, try, with or loop count; function and class bodies do not."""
+    found = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value:
+            value = node.value
+            func = value.func if isinstance(value, ast.Call) else None
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(value, MUTABLE_LITERALS) or name in MUTABLE_CALLS:
+                found.append(node.lineno)
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            pending.extend(getattr(node, field, []))
+    return sorted(found)
+
+
+def test_the_check_sees_a_module_level_container():
+    source = (
+        "import collections\n"
+        "a = {}\n"
+        "b: list = [1]\n"
+        "c = {x for x in 'ab'}\n"
+        "d = dict(x=1)\n"
+        "e = collections.defaultdict(int)\n"
+        "if True:\n"
+        "    f = set()\n"
+        "try:\n"
+        "    g = list()\n"
+        "except ImportError:\n"
+        "    g = []\n"
+        "h = {k: 1 for k in 'ab'}\n"
+    )
+    assert module_level_containers(source) == [2, 3, 4, 5, 6, 8, 10, 12, 13]
+    # immutable bindings, and containers inside functions and classes, pass
+    assert module_level_containers(
+        "A = frozenset({1})\nB = (1, 2)\nC = 'x'\nD = frozenset()\n"
+        "def f():\n    cache = {}\n    return cache\n"
+        "class K:\n    items = []\n"
+    ) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_binds_no_mutable_container(path):
+    assert module_level_containers(path.read_text(encoding="utf-8")) == []
