@@ -135,6 +135,7 @@ def run_adaptation(
     cfg: AdaptConfig,
     *,
     target_feats: Optional[Sequence[SparseVec]] = None,
+    calib_feats: Optional[Sequence[SparseVec]] = None,
 ) -> tuple[Model, AdaptTrace]:
     """Adapt a source-pretrained model to an unlabeled target domain.
 
@@ -144,9 +145,10 @@ def run_adaptation(
     the full trace. Bit-reproducible for fixed inputs and seed. Training runs
     on the embedding rows source, target and calib read (`compact`);
     the other rows come back unchanged. AdaptationError, naming the epoch,
-    when training leaves the float range. target_feats, when given, is
-    featurize_dataset(target, model.hash_dim), made by the caller: the pool
-    is then not featurized again.
+    when training leaves the float range. target_feats and calib_feats,
+    when given, are featurize_dataset(target, model.hash_dim) and
+    featurize_dataset(calib, model.hash_dim), made by the caller: that set is
+    then not featurized again.
     """
     if not source.is_fully_labeled():
         raise DatasetError("source dataset must be fully labeled")
@@ -158,7 +160,7 @@ def run_adaptation(
     work, rows, (src_feats, tgt_feats, calib_feats) = compact(
         model, featurize_dataset(source, model.hash_dim),
         featurize_dataset(target, model.hash_dim) if target_feats is None else target_feats,
-        featurize_dataset(calib, model.hash_dim))
+        featurize_dataset(calib, model.hash_dim) if calib_feats is None else calib_feats)
     src_labels = np.asarray([ex.label for ex in source.examples])
     calib_labels = np.asarray([ex.label for ex in calib.examples])
     tgt_truth = (np.asarray([ex.label for ex in target.examples])

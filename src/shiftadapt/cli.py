@@ -298,10 +298,11 @@ def cmd_adapt(run: RunConfig) -> int:
 
     eval_feats, eval_truth = _features_and_labels(eval_set, pretrained.hash_dim)
     ba_before = _evaluate(pretrained, eval_feats, eval_truth).ba
-    # When the pool is the evaluation set, its features are made once.
+    # The pool or the calibration set, whichever is the evaluation set, is featurized once.
     adapted, trace = adapt_mod.run_adaptation(
         pretrained, train, target, calib, run.adapt,
-        target_feats=eval_feats if target is eval_set else None)
+        target_feats=eval_feats if target is eval_set else None,
+        calib_feats=eval_feats if calib is eval_set else None)
     ba_after = _evaluate(adapted, eval_feats, eval_truth).ba
     for message in dict.fromkeys(trace.correction_warnings):
         print(f"warning: label correction: {message}", file=sys.stderr)

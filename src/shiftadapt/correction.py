@@ -81,66 +81,65 @@ def apply_correction(cp: CorrectionParams, logits: np.ndarray) -> np.ndarray:
     return softmax(cp.w * logits + cp.b)
 
 
-def _corrected_mean_nll(logits: np.ndarray, labels: np.ndarray, w, b) -> float:
-    # The (n, 2) log-softmax written on its two columns: the same elementwise
-    # operations, so the same bits, without the row reductions and the gather.
-    u0 = logits[:, 0] * w[0] + b[0]
-    u1 = logits[:, 1] * w[1] + b[1]
+def _nll_pass(l0, l1, is1, w0, w1, b0, b1):
+    """The mean NLL of the corrected logit columns l0 * w0 + b0 and
+    l1 * w1 + b1 (labels: is1), and (e0, e1, s): the exps of the max-shifted
+    columns and their sum. The same bits as the (n, 2) log-softmax and gather."""
+    u0 = l0 * w0 + b0
+    u1 = l1 * w1 + b1
     top = np.maximum(u0, u1)
     u0 -= top
     u1 -= top
-    logp = np.where(labels == 1, u1, u0) - np.log(np.exp(u0) + np.exp(u1))
-    return float(-logp.mean())
-
-
-def _corrected_nll_grad(logits, labels, w, b):
-    u = logits * w + b
-    u = u - u.max(axis=1, keepdims=True)
-    p = np.exp(u)
-    p /= p.sum(axis=1, keepdims=True)
-    p[np.arange(len(labels)), labels] -= 1.0
-    p /= len(labels)
-    return (p * logits).sum(axis=0), p.sum(axis=0)
+    e0, e1 = np.exp(u0), np.exp(u1)
+    s = e0 + e1
+    logp = np.where(is1, u1, u0) - np.log(s)
+    return float(-(np.add.reduce(logp) / len(logp))), (e0, e1, s)
 
 
 def _descend(logits, labels, fit_bias: bool):
     """Full-batch gradient descent with Armijo backtracking from the identity.
 
-    Huge logits overflow the gradient norm or a trial NLL to inf or NaN; such a
-    trial fails the Armijo comparison, so those numpy warnings are silenced.
+    An accepted trial's pass also gives the gradient there: softmax = e / s.
+    Huge logits overflow the gradient norm or a trial NLL to inf or NaN; such
+    a trial fails the Armijo comparison, so those numpy warnings are silenced.
     """
-    w = np.ones(2)
-    b = np.zeros(2)
-    nll = _corrected_mean_nll(logits, labels, w, b)
+    n = len(labels)
+    cols = (np.ascontiguousarray(logits[:, 0]), np.ascontiguousarray(logits[:, 1]), labels == 1)
+    one_hot = np.eye(2)[labels]
+    # Python floats: the same IEEE operations as 2-element arrays, without their overhead.
+    w0, w1, b0, b1 = 1.0, 1.0, 0.0, 0.0
+    nll, (e0, e1, s) = _nll_pass(*cols, w0, w1, b0, b1)
     history = [nll]
     step = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(FIT_MAX_ITERS):
-            gw, gb = _corrected_nll_grad(logits, labels, w, b)
-            if not fit_bias:
-                gb = np.zeros(2)
+            # p takes the logits' layout, which sets the order of the axis-0 sums.
+            p = np.empty_like(logits)
+            np.divide(e0, s, out=p[:, 0])
+            np.divide(e1, s, out=p[:, 1])
+            p -= one_hot
+            p /= n
+            gw, gb = (p * logits).sum(axis=0), p.sum(axis=0) if fit_bias else np.zeros(2)
             gnorm2 = float(gw @ gw + gb @ gb)
             if gnorm2 < 1e-24:
                 break
+            (gw0, gw1), (gb0, gb1) = gw.tolist(), gb.tolist()
             t = step
-            accepted = False
             while t > 1e-20:
-                w_new = w - t * gw
-                b_new = b - t * gb
-                nll_new = _corrected_mean_nll(logits, labels, w_new, b_new)
+                trial = (w0 - t * gw0, w1 - t * gw1, b0 - t * gb0, b1 - t * gb1)
+                nll_new, (e0, e1, s) = _nll_pass(*cols, *trial)
                 if nll_new <= nll - 1e-4 * t * gnorm2:
-                    accepted = True
                     break
                 t *= 0.5
-            if not accepted:
+            else:  # no step length passed the Armijo test
                 break
             improvement = nll - nll_new
-            w, b, nll = w_new, b_new, nll_new
+            (w0, w1, b0, b1), nll = trial, nll_new
             history.append(nll)
             step = t * 2.0
             if improvement < FIT_TOL:
                 break
-    return w, b, history
+    return np.array([w0, w1]), np.array([b0, b1]), history
 
 
 def _logit_matrix(logits) -> np.ndarray:
@@ -162,7 +161,7 @@ def fit_correction(logits: np.ndarray, labels: Sequence[int]) -> CorrectionParam
     if len(logits) == 0:
         raise DatasetError("calibration set must be non-empty")
     labels = np.asarray(labels)
-    if labels.shape != (len(logits),) or not np.isin(labels, (0, 1)).all():
+    if labels.shape != (len(logits),) or not np.all((labels == 0) | (labels == 1)):
         raise DatasetError("calibration set must be fully labeled, one 0/1 label per logits row")
     labels = labels.astype(np.int64)
 
@@ -177,17 +176,16 @@ def fit_correction(logits: np.ndarray, labels: Sequence[int]) -> CorrectionParam
         bias_discarded = True
         b = np.zeros(2)
 
-    # Backtracking from the identity start makes regression impossible; keep
-    # an explicit guard so a violation can never escape unnoticed.
-    identity_nll = _corrected_mean_nll(logits, labels, np.ones(2), np.zeros(2))
-    if history[-1] > identity_nll:
+    # Both descents start at the identity, whose NLL is history[0]; backtracking
+    # makes regression impossible, and this guard keeps a violation from passing unnoticed.
+    if history[-1] > history[0]:
         warnings.append("fit regressed past the identity correction; returning identity")
         return CorrectionParams(
-            w=np.ones(2), b=np.zeros(2), fit_nll_history=[identity_nll], warnings=warnings
+            w=np.ones(2), b=np.zeros(2), fit_nll_history=history[:1], warnings=warnings
         )
     return CorrectionParams(
         w=w, b=b, bias_discarded=bias_discarded,
-        fit_nll_history=[float(v) for v in history], warnings=warnings,
+        fit_nll_history=history, warnings=warnings,
     )
 
 

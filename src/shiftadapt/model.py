@@ -187,7 +187,7 @@ def nll_head(logits: np.ndarray, labels: Sequence[int], weights) -> tuple[np.nda
     floored at 1e-12, and their (n, 2) logit gradients; weights holds one
     weight per row, or one for all."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (len(logits),) or not np.isin(labels, (0, 1)).all():
+    if labels.shape != (len(logits),) or not np.all((labels == 0) | (labels == 1)):
         raise ValueError("need one label in {0, 1} per logits row")
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), labels.shape)
     probs = softmax(logits)
@@ -227,7 +227,7 @@ def backward(
         out_b=gl.sum(axis=0),
     )
     for x, ge in zip(rec.feats, gh @ params.hidden_w.T):
-        g.embed[x.indices] += np.outer(x.values, ge)
+        g.embed[x.indices] += x.values[:, None] * ge  # np.outer's own definition
     return g
 
 
@@ -259,7 +259,8 @@ class Optimizer:
                 v *= ADAM_BETA2
                 np.multiply(1.0 - ADAM_BETA2, g, out=s1)
                 v += np.multiply(s1, g, out=s1)
-                if not _is_finite(v):
+                # v is never negative, so its max alone shows a NaN or an inf
+                if not np.isfinite(v.max(initial=0.0)):
                     raise FloatingPointError(f"Adam's second moment of {name} overflowed")
                 np.divide(m, corr1, out=s1)
                 s1 *= self.lr

@@ -517,11 +517,34 @@ class TestAdapt:
 
         real_run = adapt.run_adaptation
         monkeypatch.setattr(adapt, "run_adaptation",
-                            lambda *args, target_feats=None: real_run(*args))
+                            lambda *args, **_: real_run(*args))
         seen.clear()
         assert main(self.adapt_args(pipeline_dir, tmp_path / "again", *extra)) == 0
         # shared: the pool is the target_labels dataset, featurized again
         assert sorted(seen) == sorted(expected + ([labels_file] if shared else []))
+        for name in ("adapted.npz", "trace.csv", "summary.json"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
+
+    def test_calib_featurized_once_without_target_labels(self, pipeline_dir, tmp_path,
+                                                         monkeypatch):
+        # Without target_labels, calib is the evaluation set: its features give
+        # both BAs and feed training. The outputs equal a run that featurizes
+        # it again.
+        extra = ("--set", "data.target_labels=null")
+        seen = []
+        real = data.featurize_dataset
+        spy = lambda ds, dim: seen.append(ds.name) or real(ds, dim)
+        monkeypatch.setattr(data, "featurize_dataset", spy)
+        monkeypatch.setattr(adapt, "featurize_dataset", spy)
+        assert main(self.adapt_args(pipeline_dir, tmp_path / "one", *extra)) == 0
+        assert sorted(seen) == ["calib", "source/train", "target"]
+
+        real_run = adapt.run_adaptation
+        monkeypatch.setattr(adapt, "run_adaptation",
+                            lambda *args, **_: real_run(*args))
+        seen.clear()
+        assert main(self.adapt_args(pipeline_dir, tmp_path / "again", *extra)) == 0
+        assert sorted(seen) == ["calib", "calib", "source/train", "target"]
         for name in ("adapted.npz", "trace.csv", "summary.json"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 

@@ -131,9 +131,168 @@ class TestCorrectedMeanNll:
                 labels = rng.integers(0, 2, n)
             w = rng.standard_normal(2) * 2.0
             b = rng.standard_normal(2) * 2.0
-            got = correction._corrected_mean_nll(logits, labels, w, b)
+            got, (e0, e1, s) = correction._nll_pass(
+                np.ascontiguousarray(logits[:, 0]), np.ascontiguousarray(logits[:, 1]),
+                labels == 1, *w.tolist(), *b.tolist())
             want = matrix_mean_nll(logits, labels, w, b)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), case
+            u = logits * w + b
+            e = np.exp(u - u.max(axis=1, keepdims=True))
+            assert np.stack([e0, e1, s], axis=1).tobytes() == np.column_stack(
+                [e, e.sum(axis=1)]).tobytes(), case
+
+
+# The descent before the one-pass kernel, kept as the bit-for-bit reference:
+# the bodies of the former correction._corrected_mean_nll,
+# _corrected_nll_grad and _descend, with the constants FIT_MAX_ITERS 500,
+# FIT_TOL 1e-8, the Armijo 1e-4, the 1e-20 step floor, the 1e-24 gradient
+# floor and B_MAX 10 written as literals.
+def oracle_corrected_mean_nll(logits: np.ndarray, labels: np.ndarray, w, b) -> float:
+    u0 = logits[:, 0] * w[0] + b[0]
+    u1 = logits[:, 1] * w[1] + b[1]
+    top = np.maximum(u0, u1)
+    u0 -= top
+    u1 -= top
+    logp = np.where(labels == 1, u1, u0) - np.log(np.exp(u0) + np.exp(u1))
+    return float(-logp.mean())
+
+
+def oracle_corrected_nll_grad(logits, labels, w, b):
+    u = logits * w + b
+    u = u - u.max(axis=1, keepdims=True)
+    p = np.exp(u)
+    p /= p.sum(axis=1, keepdims=True)
+    p[np.arange(len(labels)), labels] -= 1.0
+    p /= len(labels)
+    return (p * logits).sum(axis=0), p.sum(axis=0)
+
+
+def oracle_descend(logits, labels, fit_bias: bool):
+    w = np.ones(2)
+    b = np.zeros(2)
+    nll = oracle_corrected_mean_nll(logits, labels, w, b)
+    history = [nll]
+    step = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(500):
+            gw, gb = oracle_corrected_nll_grad(logits, labels, w, b)
+            if not fit_bias:
+                gb = np.zeros(2)
+            gnorm2 = float(gw @ gw + gb @ gb)
+            if gnorm2 < 1e-24:
+                break
+            t = step
+            accepted = False
+            while t > 1e-20:
+                w_new = w - t * gw
+                b_new = b - t * gb
+                nll_new = oracle_corrected_mean_nll(logits, labels, w_new, b_new)
+                if nll_new <= nll - 1e-4 * t * gnorm2:
+                    accepted = True
+                    break
+                t *= 0.5
+            if not accepted:
+                break
+            improvement = nll - nll_new
+            w, b, nll = w_new, b_new, nll_new
+            history.append(nll)
+            step = t * 2.0
+            if improvement < 1e-8:
+                break
+    return w, b, history
+
+
+def oracle_fit_correction(logits, labels, descend=oracle_descend) -> CorrectionParams:
+    """fit_correction after its input checks, on the oracle descent."""
+    labels = np.asarray(labels).astype(np.int64)
+    warnings = []
+    if len(set(labels.tolist())) == 1:
+        warnings.append(f"calibration set contains a single class ({int(labels[0])})")
+    w, b, history = descend(logits, labels, True)
+    bias_discarded = False
+    if np.max(np.abs(b)) > 10.0:
+        w, b, history = descend(logits, labels, False)
+        bias_discarded = True
+        b = np.zeros(2)
+    identity_nll = oracle_corrected_mean_nll(logits, labels, np.ones(2), np.zeros(2))
+    if history[-1] > identity_nll:
+        warnings.append("fit regressed past the identity correction; returning identity")
+        return CorrectionParams(
+            w=np.ones(2), b=np.zeros(2), fit_nll_history=[identity_nll], warnings=warnings
+        )
+    return CorrectionParams(
+        w=w, b=b, bias_discarded=bias_discarded,
+        fit_nll_history=[float(v) for v in history], warnings=warnings,
+    )
+
+
+def assert_same_bytes(got, want, case):
+    """Two (w, b, history) triples, or two CorrectionParams, hold the same bits."""
+    if isinstance(got, CorrectionParams):
+        assert got.bias_discarded is want.bias_discarded, case
+        assert got.warnings == want.warnings, case
+        got = got.w, got.b, got.fit_nll_history
+        want = want.w, want.b, want.fit_nll_history
+    for g, v in zip(got, want):
+        assert np.asarray(g, np.float64).tobytes() == np.asarray(v, np.float64).tobytes(), case
+    assert all(type(v) is float for v in got[2]), case
+
+
+def oracle_cases(count, seed):
+    """(case, logits, labels): n from 1 to 400; logit scales 1e-3, 3, 1e200
+    and, on one case in 16, 1e2 (whose fits run to the step cap); labels at
+    random, one-class, or from a shifted decision boundary, whose fits on up
+    to 60 rows often push |b| past B_MAX; one case in 7 has Fortran-ordered
+    logits."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        kind = ("tiny", "three", "overflow", "shifted")[case % 4] if case % 16 != 15 else "hundred"
+        n = (1, 400)[case] if case < 2 else int(rng.integers(2, 61 if kind == "shifted" else 401))
+        scale = {"tiny": 1e-3, "overflow": 1e200, "hundred": 1e2}.get(kind, 3.0)
+        logits = rng.standard_normal((n, 2)) * scale
+        if kind == "shifted":
+            margin = logits[:, 1] - logits[:, 0] + 3.0 + 2.0 * rng.standard_normal(n)
+            labels = (margin > 0).astype(np.int64)
+        elif case % 5 == 4:
+            labels = np.full(n, case // 5 % 2, dtype=np.int64)
+        else:
+            labels = rng.integers(0, 2, n)
+        if case % 7 == 6:
+            logits = np.asfortranarray(logits)
+        yield case, logits, labels
+
+
+class TestFitMatchesOracle:
+    def test_fit_correction_bit_for_bit(self):
+        discarded = 0
+        for case, logits, labels in oracle_cases(320, seed=29):
+            got = fit_correction(logits, labels)
+            assert_same_bytes(got, oracle_fit_correction(logits, labels), case)
+            discarded += got.bias_discarded
+        # the B_MAX path ran, so the bias-free descent was compared as well
+        assert discarded >= 5
+
+    def test_bias_free_descent_bit_for_bit(self):
+        for case, logits, labels in oracle_cases(60, seed=30):
+            assert_same_bytes(correction._descend(logits, labels, False),
+                              oracle_descend(logits, labels, False), case)
+
+    def test_identity_fallback_bit_for_bit(self, monkeypatch):
+        # Armijo never accepts a step that raises the NLL, so a regression is
+        # made by appending one to each descent's history.
+        def regressed(descend):
+            def run(logits, labels, fit_bias):
+                w, b, history = descend(logits, labels, fit_bias)
+                return w, b, history + [history[0] + abs(history[0]) + 1.0]
+            return run
+
+        for case, logits, labels in oracle_cases(12, seed=31):
+            monkeypatch.setattr(correction, "_descend", regressed(correction._descend))
+            got = fit_correction(logits, labels)
+            monkeypatch.undo()
+            assert got.warnings[-1].startswith("fit regressed")
+            assert_same_bytes(got, oracle_fit_correction(
+                logits, labels, regressed(oracle_descend)), case)
 
 
 class TestFitCorrection:

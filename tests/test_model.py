@@ -336,6 +336,18 @@ class TestOptimizer:
         with pytest.raises(FloatingPointError, match="second moment of hidden_w"):
             model.Optimizer(1e-3, p).step(p, g)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_gradient_raises(self, bad):
+        # v is never negative, so the guard reads only its max: a NaN or
+        # infinite gradient must still reach it
+        p = dense_init(16, 4, 4, seed=0)
+        g = model.ModelParams.zeros_like(p)
+        g.out_b[1] = bad
+        before = p.out_b.copy()
+        with pytest.raises(FloatingPointError, match="second moment of out_b"):
+            model.Optimizer(1e-3, p).step(p, g)
+        assert np.array_equal(p.out_b, before)
+
 
 def unread_rows(m, *datasets):
     """The embedding rows that no featurized example of datasets reads."""
