@@ -41,7 +41,6 @@ from .mmd import (
     contrastive_loss,
     kernel_blocks,
     median_bandwidth,
-    pairwise_sq_dists,
 )
 from .model import (
     ForwardRecord,

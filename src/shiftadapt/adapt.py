@@ -18,8 +18,7 @@ import numpy as np
 from .correction import CorrectionParams, fit_correction, pseudo_label
 from .data import Dataset, SparseVec, featurize_dataset
 from .errors import AdaptationError, ConfigError, DatasetError, EmptyPseudoLabelSetError
-from .mmd import (EmbeddingBatch, contrastive_grad, contrastive_loss, kernel_blocks,
-                  median_bandwidth, pairwise_sq_dists)
+from .mmd import EmbeddingBatch, contrastive_grad, contrastive_loss, kernel_blocks
 from .model import Model, Optimizer, backward, compact, expand, forward, logits_ba, nll_head
 
 
@@ -228,32 +227,31 @@ def run_adaptation(
                 nll_total = 0.0 + float(np.cumsum(terms)[-1])
 
                 # Contrastive head on the phi representations; median-heuristic gamma
-                # per batch pair. One distance pass feeds gamma, then the kernels
-                # and weights that the value and the gradient share.
+                # per batch pair. One pass makes the kernels and weights that the
+                # value and the gradient share.
                 s_emb = EmbeddingBatch(rec.phi[:n_s], s_labels)
                 t_emb = EmbeddingBatch(rec.phi[n_s:], t_labels)
-                dists = pairwise_sq_dists(s_emb, t_emb)
-                gamma = median_bandwidth(s_emb, t_emb, dists)
-                blocks = kernel_blocks(s_emb, t_emb, gamma, dists)
-                closs = contrastive_loss(s_emb, t_emb, blocks)
+                blocks = kernel_blocks(s_emb, t_emb)
+                contrastive = contrastive_loss(s_emb, t_emb, blocks)
 
                 grad_phi = None
                 if cfg.lam != 0.0:
-                    grads_c = contrastive_grad(s_emb, t_emb, blocks)
-                    grad_phi = cfg.lam * np.vstack([grads_c.grad_source, grads_c.grad_target])
+                    grad_phi = contrastive_grad(s_emb, t_emb, blocks)
+                    grad_phi *= cfg.lam
+                gamma, skipped = blocks.gamma, blocks.skipped
                 # Free the kernel and weight blocks now: kept until the next
                 # iteration rebinds them, they would overlap its distance pass.
-                del dists, blocks
+                del blocks
 
                 opt.step(work, backward(work, rec, grad_logits, grad_phi))
 
                 trace.iterations.append(IterationRecord(
                     iteration=global_iter,
                     nll=nll_total,
-                    contrastive=closs.value,
-                    combined=nll_total + cfg.lam * closs.value,
+                    contrastive=contrastive,
+                    combined=nll_total + cfg.lam * contrastive,
                     gamma=gamma,
-                    skipped_terms=closs.skipped,
+                    skipped_terms=skipped,
                     with_replacement=with_repl,
                 ))
 

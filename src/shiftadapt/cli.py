@@ -109,12 +109,11 @@ def validate_config(cfg: dict) -> RunConfig:
     return build(RunConfig, cfg)
 
 
-def _deep_merge(base: dict, override: dict, path="") -> dict:
+def _deep_merge(base: dict, override: dict) -> dict:
     merged = copy.deepcopy(base)
     for key, value in override.items():
-        dotted = f"{path}.{key}" if path else key
         if isinstance(value, dict) and isinstance(merged.get(key), dict) and key != "synth":
-            merged[key] = _deep_merge(merged[key], value, dotted)
+            merged[key] = _deep_merge(merged[key], value)
         else:
             merged[key] = copy.deepcopy(value)
     return merged

@@ -63,10 +63,6 @@ class SparseVec:
     values: np.ndarray  # float64, finite, no stored zeros
     dim: int
 
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
 
 def _validate_label(raw, path: str, lineno: int) -> Optional[int]:
     if raw is None:

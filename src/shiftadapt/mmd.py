@@ -8,8 +8,8 @@ combines the intra-class terms positively and the inter-class terms with
 weight -1/2. Both the value and the gradient are weighted sums over the
 three kernel blocks, with one set of class-pair weights.
 
-Per batch pair, `pairwise_sq_dists` computes the distances once; the
-bandwidth reads them and `kernel_blocks` turns them into kernels in place.
+Per batch pair, `kernel_blocks` computes the distances once, takes the
+bandwidth from them and turns them into kernels in place.
 """
 from __future__ import annotations
 
@@ -45,11 +45,6 @@ class EmbeddingBatch:
             raise ValueError("labels must be 0 or 1")
 
 
-class ContrastiveResult(NamedTuple):
-    value: float
-    skipped: tuple[str, ...]
-
-
 class KernelBlocks(NamedTuple):
     """One batch pair's shared kernel work: the bandwidth, the three kernel
     blocks and their class-pair weights (see _class_pair_weights)."""
@@ -60,12 +55,6 @@ class KernelBlocks(NamedTuple):
     w_ss: np.ndarray
     w_tt: np.ndarray
     w_st: np.ndarray
-    skipped: tuple[str, ...]
-
-
-class ContrastiveGradients(NamedTuple):
-    grad_source: np.ndarray  # (n, d)
-    grad_target: np.ndarray  # (m, d)
     skipped: tuple[str, ...]
 
 
@@ -84,20 +73,14 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_sq_dists(source: EmbeddingBatch, target: EmbeddingBatch) -> tuple[np.ndarray, ...]:
-    """(ss, tt, st): squared distances within the source, within the target
-    and across, each computed once."""
-    s, t = source.vectors, target.vectors
-    return _sq_dists(s, s), _sq_dists(t, t), _sq_dists(s, t)
-
-
 def median_bandwidth(batch_a: EmbeddingBatch, batch_b: EmbeddingBatch, dists) -> float:
     """Median pairwise squared distance over the union, self-pairs excluded.
 
-    dists is pairwise_sq_dists(batch_a, batch_b), left unchanged. The strict
-    upper parts of ss and tt plus all of st are the union's strict upper
-    triangle, so the median is the same bits. Falls back to 1.0 when the
-    median vanishes (e.g. all vectors identical).
+    dists is (ss, tt, st), the squared distances within batch_a, within
+    batch_b and across, left unchanged. The strict upper parts of ss and tt
+    plus all of st are the union's strict upper triangle, so the median is
+    the same bits. Falls back to 1.0 when the median vanishes (e.g. all
+    vectors identical).
     """
     upper = [d[np.arange(len(d)) > np.arange(len(d))[:, None]] for d in dists[:2]]
     pairs = np.concatenate([*upper, dists[2].ravel()])
@@ -136,13 +119,14 @@ def _class_pair_weights(sl: np.ndarray, tl: np.ndarray):
     return w_ss, w_tt, w_st, tuple(skipped)
 
 
-def kernel_blocks(
-    source: EmbeddingBatch, target: EmbeddingBatch, gamma: float, dists
-) -> KernelBlocks:
-    """Kernels exp(-d/gamma), made in place from dists (pairwise_sq_dists(source,
-    target), which this consumes), and the labels' class-pair weights."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+def kernel_blocks(source: EmbeddingBatch, target: EmbeddingBatch) -> KernelBlocks:
+    """The batch pair's whole discrepancy pass: the three distance blocks,
+    each computed once; median_bandwidth of them; the kernels exp(-d/gamma),
+    made in place from the same blocks; and the labels' class-pair weights."""
+    s, t = source.vectors, target.vectors
+    dists = (_sq_dists(s, s), _sq_dists(t, t), _sq_dists(s, t))
+    # Called through the module global: tests fix the bandwidth by patching it.
+    gamma = median_bandwidth(source, target, dists)
     for block in dists:  # d / -gamma is -d / gamma, bit for bit
         np.divide(block, -gamma, out=block)
         np.exp(block, out=block)
@@ -151,7 +135,7 @@ def kernel_blocks(
 
 def contrastive_loss(
     source: EmbeddingBatch, target: EmbeddingBatch, blocks: KernelBlocks
-) -> ContrastiveResult:
+) -> float:
     """D00 + D11 - (D01 + D10)/2, as the sum of W∘K over the three blocks.
 
     Intra-class terms pull same-class examples together across domains; the
@@ -162,29 +146,32 @@ def contrastive_loss(
     """
     b = blocks
     value = (b.w_ss * b.k_ss).sum() + (b.w_tt * b.k_tt).sum() + (b.w_st * b.k_st).sum()
-    return ContrastiveResult(float(value), b.skipped)
+    return float(value)
 
 
 def contrastive_grad(
     source: EmbeddingBatch, target: EmbeddingBatch, blocks: KernelBlocks
-) -> ContrastiveGradients:
-    """Exact gradient of contrastive_loss w.r.t. every embedding vector.
+) -> np.ndarray:
+    """Exact gradient of contrastive_loss w.r.t. every embedding vector: one
+    (n + m, d) array, the source rows first.
 
     Uses dk(x, y)/dx = -(2/gamma) (x - y) k(x, y) on the same kernels and
-    class-pair weights as contrastive_loss, so `skipped` is the same tuple.
+    class-pair weights as contrastive_loss.
     """
     s, t, b = source.vectors, target.vectors, blocks
     scale = -2.0 / b.gamma
+    grad = np.empty((len(s) + len(t), s.shape[1]))
+    grad_s, grad_t = grad[: len(s)], grad[len(s) :]
 
     # Within-domain part: for symmetric weight sums, grad_i = sum_j c_ij (x_i - x_j).
     c = scale * (b.w_ss + b.w_ss.T) * b.k_ss
-    grad_s = c.sum(axis=1, keepdims=True) * s - c @ s
+    np.subtract(c.sum(axis=1, keepdims=True) * s, c @ s, out=grad_s)
     c = scale * (b.w_tt + b.w_tt.T) * b.k_tt
-    grad_t = c.sum(axis=1, keepdims=True) * t - c @ t
+    np.subtract(c.sum(axis=1, keepdims=True) * t, c @ t, out=grad_t)
 
     # Cross-domain part; w_st already carries the -2 coefficient.
     c = scale * b.w_st * b.k_st
     grad_s += c.sum(axis=1, keepdims=True) * s - c @ t
     grad_t += c.sum(axis=0)[:, None] * t - c.T @ s
 
-    return ContrastiveGradients(grad_s, grad_t, b.skipped)
+    return grad

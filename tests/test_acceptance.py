@@ -40,8 +40,9 @@ def pretrain_default(source, seed):
 
 @pytest.fixture(scope="module")
 def five_seed_experiment():
-    """Full pipeline on 5 seeds: naive baseline, full adaptation, and the
-    no-label-correction ablation arm. Shared by criteria 4 and 5."""
+    """Full pipeline on 5 seeds: naive baseline, full adaptation, the
+    no-label-correction ablation arm and the lambda = 0 arm (stage 2 without
+    its contrastive term). Shared by criteria 4 and 5."""
     rows = []
     for seed in range(5):
         t0 = time.perf_counter()
@@ -49,22 +50,17 @@ def five_seed_experiment():
         train, pre = pretrain_default(source, seed)
         naive_ba = ba_on(pre, pool)
 
-        full, _ = adapt.run_adaptation(
-            pre, train, pool, calib, adapt.AdaptConfig(seed=seed)
-        )
-        full_ba = ba_on(full, pool)
-
-        nolc, _ = adapt.run_adaptation(
-            pre, train, pool, calib, adapt.AdaptConfig(seed=seed, label_correction=False)
-        )
-        nolc_ba = ba_on(nolc, pool)
-        rows.append({
-            "seed": seed,
-            "naive": naive_ba,
-            "full": full_ba,
-            "nolc": nolc_ba,
-            "elapsed": time.perf_counter() - t0,
-        })
+        row = {"seed": seed, "naive": naive_ba, "best_epoch": {}}
+        for arm, cfg in (
+            ("full", adapt.AdaptConfig(seed=seed)),
+            ("nolc", adapt.AdaptConfig(seed=seed, label_correction=False)),
+            ("lam0", adapt.AdaptConfig(seed=seed, lam=0.0)),
+        ):
+            adapted, trace = adapt.run_adaptation(pre, train, pool, calib, cfg)
+            row[arm] = ba_on(adapted, pool)
+            row["best_epoch"][arm] = trace.best_epoch
+        row["elapsed"] = time.perf_counter() - t0
+        rows.append(row)
     return rows
 
 
@@ -87,7 +83,7 @@ def test_criterion_1_mmd_oracle_equivalence():
             want = naive_class_mmd(S, T, c1, c2, gamma)
             if want is not None:
                 loss_expected += coef * want
-        got_loss = mmd.contrastive_loss(S, T, kernels(S, T, gamma)).value
+        got_loss = mmd.contrastive_loss(S, T, kernels(S, T, gamma))
         worst = max(worst, abs(got_loss - loss_expected))
         instances += 1
     elapsed = time.perf_counter() - t0
@@ -113,14 +109,14 @@ def test_criterion_2_gradient_fidelity():
         S = EmbeddingBatch(rng.normal(size=(n, d)), rng.integers(0, 2, n))
         T = EmbeddingBatch(rng.normal(size=(m, d)), rng.integers(0, 2, m))
         res = mmd.contrastive_grad(S, T, kernels(S, T, gamma))
-        for arr, grad in ((S.vectors, res.grad_source), (T.vectors, res.grad_target)):
+        for arr, grad in ((S.vectors, res[:n]), (T.vectors, res[n:])):
             for i in range(arr.shape[0]):
                 for j in range(arr.shape[1]):
                     orig = arr[i, j]
                     arr[i, j] = orig + eps
-                    lp = mmd.contrastive_loss(S, T, kernels(S, T, gamma)).value
+                    lp = mmd.contrastive_loss(S, T, kernels(S, T, gamma))
                     arr[i, j] = orig - eps
-                    lm = mmd.contrastive_loss(S, T, kernels(S, T, gamma)).value
+                    lm = mmd.contrastive_loss(S, T, kernels(S, T, gamma))
                     arr[i, j] = orig
                     fd = (lp - lm) / (2 * eps)
                     worst = max(worst, abs(fd - grad[i, j]) / max(abs(fd), 1e-6))
@@ -226,6 +222,15 @@ def test_criterion_5_ablation_ordering(five_seed_experiment):
     nolc = float(np.mean([r["nolc"] for r in rows]))
     naive = float(np.mean([r["naive"] for r in rows]))
     ok = full >= nolc and naive <= nolc and naive <= full
+    # Reported, not gated: does the contrastive term earn its place here?
+    def per_seed(arm):
+        return [f"{r[arm]:.4f}" for r in rows]
+
+    print(f"\nlambda = 0 arm (reported, not gated): mean BA "
+          f"{np.mean([r['lam0'] for r in rows]):.4f} against full {full:.4f}; per-seed "
+          f"{per_seed('lam0')} against full {per_seed('full')}; best_epoch "
+          + ", ".join(f"{arm} {[r['best_epoch'][arm] for r in rows]}"
+                      for arm in ("full", "nolc", "lam0")))
     report(
         5,
         ok,

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +147,41 @@ class TestRunAdaptation:
         assert calls == {"class_aware_sample": len(trace.iterations),
                          "pseudo_label": cfg.epochs, "fit_correction": cfg.epochs}
 
+    @pytest.mark.parametrize("lam, grad_calls", [(0.01, 1), (0.0, 0)])
+    def test_stage_two_runs_through_the_public_functions(self, small_pretrained, monkeypatch,
+                                                         lam, grad_calls):
+        """Per iteration, one kernel_blocks pass with its one median_bandwidth
+        call, one contrastive_loss and, when lambda != 0, one contrastive_grad,
+        each given that iteration's source and target EmbeddingBatch first."""
+        names = ("kernel_blocks", "median_bandwidth", "contrastive_loss", "contrastive_grad")
+        calls = {name: [] for name in names}
+        modules = [m for key, m in sys.modules.items()
+                   if key == "shiftadapt" or key.startswith("shiftadapt.")]
+        for name in names:
+            real = getattr(mmd, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls[_name].append(args[:2])
+                return _real(*args, **kwargs)
+
+            for module in modules:  # every namespace that binds the function
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, spy)
+        cfg = AdaptConfig(seed=1, epochs=2, batch_size=16, iterations_per_epoch=2, lam=lam)
+        _, trace = run_adaptation(
+            small_pretrained["params"], small_pretrained["train"],
+            small_pretrained["pool"], small_pretrained["calib"], cfg,
+        )
+        n_iter = len(trace.iterations)
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "kernel_blocks": n_iter, "median_bandwidth": n_iter,
+            "contrastive_loss": n_iter, "contrastive_grad": grad_calls * n_iter}
+        for pair in calls["kernel_blocks"]:
+            assert all(type(batch) is mmd.EmbeddingBatch for batch in pair)
+        for name in names[1:]:  # the same two batches as that iteration's pass
+            for got, want in zip(calls[name], calls["kernel_blocks"]):
+                assert got[0] is want[0] and got[1] is want[1], name
+
     def test_given_pool_features_give_the_same_bits(self, small_pretrained, adapted_run,
                                                     monkeypatch):
         """Pool features made by the caller: the same model bits and trace as
@@ -243,8 +279,8 @@ class TestRunAdaptation:
     def test_lambda_zero_is_pure_nll_finetuning(self, small_pretrained, monkeypatch):
         cfg = AdaptConfig(seed=9, epochs=1, batch_size=16, lam=0.0)
         runs = []
-        for bandwidth in (adapt.median_bandwidth, lambda s, t, dists: 123.0):
-            monkeypatch.setattr(adapt, "median_bandwidth", bandwidth)
+        for bandwidth in (mmd.median_bandwidth, lambda s, t, dists: 123.0):
+            monkeypatch.setattr(mmd, "median_bandwidth", bandwidth)
             runs.append(run_adaptation(
                 small_pretrained["params"],
                 small_pretrained["train"],

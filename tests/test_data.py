@@ -260,13 +260,13 @@ def naive_featurize(tokens, dim):
 class TestFeaturize:
     def test_empty(self):
         sv = data.featurize([], dim=64)
-        assert sv.nnz == 0 and sv.dim == 64
+        assert sv.indices.size == 0 and sv.dim == 64
 
     def test_repeated_token_counts(self):
         # unigram "a" twice plus the ("a","a") bigram once, scaled by 1/sqrt(2)
         sv = data.featurize(["a", "a"], dim=1024)
         expected = naive_featurize(["a", "a"], 1024)
-        assert sv.nnz == 2
+        assert sv.indices.size == 2
         got = dict(zip(sv.indices.tolist(), sv.values.tolist()))
         assert got == pytest.approx(expected)
         assert sorted(got.values()) == pytest.approx(sorted([2 / math.sqrt(2), 1 / math.sqrt(2)]))
@@ -442,7 +442,7 @@ class TestGenSynthetic:
         toks = data.preprocess(source.examples[0].text)
         assert toks and all(tok.isalnum() for tok in toks)
         sv = data.featurize(toks, dim=256)
-        assert sv.nnz > 0
+        assert sv.indices.size > 0
 
     def test_degenerate_means_flagged(self):
         cfg = synth_cfg(class_means_source=([0.5, 0.5], [0.5, 0.5]))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,14 +11,13 @@ from shiftadapt.mmd import (
     contrastive_grad,
     contrastive_loss,
     kernel_blocks,
-    median_bandwidth,
-    pairwise_sq_dists,
 )
 
 
 def kernels(S, T, gamma):
-    """One batch pair's shared kernel blocks, built as the adapt loop builds them."""
-    return kernel_blocks(S, T, gamma, pairwise_sq_dists(S, T))
+    """kernel_blocks(S, T) at the fixed bandwidth gamma, in place of the median."""
+    with mock.patch.object(mmd, "median_bandwidth", lambda a, b, dists: gamma):
+        return kernel_blocks(S, T)
 
 
 def naive_kernel(x, y, gamma):
@@ -55,12 +55,12 @@ def random_batch(rng, n, d, labels=None):
 class TestMedianBandwidth:
     def test_all_identical_falls_back(self):
         b = EmbeddingBatch(np.ones((3, 2)), np.array([0, 1, 0]))
-        assert median_bandwidth(b, b, pairwise_sq_dists(b, b)) == 1.0
+        assert kernel_blocks(b, b).gamma == 1.0
 
     def test_single_pair(self):
         a = EmbeddingBatch(np.array([[0.0, 0.0]]), np.array([0]))
         b = EmbeddingBatch(np.array([[2.0, 0.0]]), np.array([1]))
-        assert median_bandwidth(a, b, pairwise_sq_dists(a, b)) == 4.0
+        assert kernel_blocks(a, b).gamma == 4.0
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(2)
@@ -71,16 +71,15 @@ class TestMedianBandwidth:
             sum((vecs[i] - vecs[j]) ** 2) for i in range(6) for j in range(i + 1, 6)
         )
         expected = np.median(dists)  # 15 pairs
-        assert median_bandwidth(a, b, pairwise_sq_dists(a, b)) == pytest.approx(expected, abs=1e-12)
+        assert kernel_blocks(a, b).gamma == pytest.approx(expected, abs=1e-12)
 
 
 class TestContrastiveLoss:
     def test_identical_batches(self):
         rng = np.random.default_rng(11)
         S = random_batch(rng, 8, 3)
-        res = contrastive_loss(S, S, kernels(S, S, 1.5))
         # intra-class terms vanish; the inter-class remainder is non-positive y
-        assert res.value <= 1e-12
+        assert contrastive_loss(S, S, kernels(S, S, 1.5)) <= 1e-12
 
     def test_two_cluster_geometry_value_from_oracle(self):
         # Same-class clusters coincide across domains, classes far apart.
@@ -98,7 +97,7 @@ class TestContrastiveLoss:
             - 0.5 * (naive_class_mmd(S, T, 0, 1, 1.0) + naive_class_mmd(S, T, 1, 0, 1.0))
         )
         assert expected == pytest.approx(0.0, abs=1e-12)
-        assert res.value == pytest.approx(expected, abs=1e-12)
+        assert res == pytest.approx(expected, abs=1e-12)
 
     def test_loss_is_non_negative(self):
         # The indicator form factors as ||a||^2 + ||b||^2 - <a, b> over the
@@ -107,17 +106,16 @@ class TestContrastiveLoss:
         for _ in range(50):
             S = random_batch(rng, int(rng.integers(3, 10)), 3)
             T = random_batch(rng, int(rng.integers(3, 10)), 3)
-            res = contrastive_loss(S, T, kernels(S, T, float(rng.uniform(0.3, 3.0))))
-            assert res.value >= -1e-12
+            assert contrastive_loss(S, T, kernels(S, T, float(rng.uniform(0.3, 3.0)))) >= -1e-12
 
     def test_zero_iff_intra_class_embeddings_align(self):
         # coincident per-class clusters across domains minimize the loss at 0
         S = EmbeddingBatch(np.array([[0.0, 0], [5, 5]]), np.array([0, 1]))
         T = EmbeddingBatch(np.array([[0.0, 0], [5, 5]]), np.array([0, 1]))
-        assert contrastive_loss(S, T, kernels(S, T, 1.0)).value == pytest.approx(0.0, abs=1e-12)
+        assert contrastive_loss(S, T, kernels(S, T, 1.0)) == pytest.approx(0.0, abs=1e-12)
         # breaking the alignment makes it strictly positive
         T2 = EmbeddingBatch(np.array([[1.0, 1], [5, 5]]), np.array([0, 1]))
-        assert contrastive_loss(S, T2, kernels(S, T2, 1.0)).value > 0.01
+        assert contrastive_loss(S, T2, kernels(S, T2, 1.0)) > 0.01
 
     def test_matches_class_mmd_composition(self):
         rng = np.random.default_rng(12)
@@ -130,14 +128,15 @@ class TestContrastiveLoss:
                 + naive_class_mmd(S, T, 1, 1, 2.0)
                 - 0.5 * (naive_class_mmd(S, T, 0, 1, 2.0) + naive_class_mmd(S, T, 1, 0, 2.0))
             )
-            assert res.value == pytest.approx(expected, abs=1e-12)
+            assert res == pytest.approx(expected, abs=1e-12)
 
     def test_single_class_batches_partial(self):
         S = EmbeddingBatch(np.array([[0.0, 0], [1, 1]]), np.array([1, 1]))
         T = EmbeddingBatch(np.array([[0.5, 0.5]]), np.array([1]))
-        res = contrastive_loss(S, T, kernels(S, T, 1.0))
-        assert res.value == pytest.approx(naive_class_mmd(S, T, 1, 1, 1.0), abs=1e-12)  # D11 alone
-        assert "d00:ss" in res.skipped and "d01:st" in res.skipped
+        blocks = kernels(S, T, 1.0)
+        res = contrastive_loss(S, T, blocks)
+        assert res == pytest.approx(naive_class_mmd(S, T, 1, 1, 1.0), abs=1e-12)  # D11 alone
+        assert "d00:ss" in blocks.skipped and "d01:st" in blocks.skipped
 
 
 class TestContrastiveGrad:
@@ -150,14 +149,14 @@ class TestContrastiveGrad:
             gamma = float(rng.uniform(0.5, 3.0))
             res = contrastive_grad(S, T, kernels(S, T, gamma))
             eps = 1e-5
-            for arr, grad, side in ((S.vectors, res.grad_source, 0), (T.vectors, res.grad_target, 1)):
+            for arr, grad in ((S.vectors, res[:n]), (T.vectors, res[n:])):
                 for i in range(arr.shape[0]):
                     for j in range(arr.shape[1]):
                         orig = arr[i, j]
                         arr[i, j] = orig + eps
-                        lp = contrastive_loss(S, T, kernels(S, T, gamma)).value
+                        lp = contrastive_loss(S, T, kernels(S, T, gamma))
                         arr[i, j] = orig - eps
-                        lm = contrastive_loss(S, T, kernels(S, T, gamma)).value
+                        lm = contrastive_loss(S, T, kernels(S, T, gamma))
                         arr[i, j] = orig
                         fd = (lp - lm) / (2 * eps)
                         assert abs(fd - grad[i, j]) <= 1e-4 * max(abs(fd), 1e-6)
@@ -169,7 +168,7 @@ class TestContrastiveGrad:
         S = EmbeddingBatch(vecs, labels)
         T = EmbeddingBatch(vecs.copy(), labels.copy())
         res = contrastive_grad(S, T, kernels(S, T, 1.3))
-        for g in (res.grad_source, res.grad_target):
+        for g in (res[:4], res[4:]):
             assert np.allclose(g[1], -g[0], atol=1e-12)
             assert np.allclose(g[3], -g[2], atol=1e-12)
 
@@ -178,8 +177,8 @@ class TestContrastiveGrad:
         S = random_batch(rng, 7, 4)
         T = random_batch(rng, 6, 4)
         res = contrastive_grad(S, T, kernels(S, T, 2.0))
-        total = res.grad_source.sum(axis=0) + res.grad_target.sum(axis=0)
-        assert np.abs(total).max() <= 1e-9
+        assert res.shape == (7 + 6, 4)
+        assert np.abs(res.sum(axis=0)).max() <= 1e-9
 
     @pytest.mark.parametrize("source_labels, target_labels", [
         pytest.param([1, 1], [1], id="single-class"),
@@ -190,9 +189,15 @@ class TestContrastiveGrad:
         rng = np.random.default_rng(15)
         S = EmbeddingBatch(rng.normal(size=(len(source_labels), 2)), np.array(source_labels))
         T = EmbeddingBatch(rng.normal(size=(len(target_labels), 2)), np.array(target_labels))
-        loss = contrastive_loss(S, T, kernels(S, T, 1.0))
-        assert contrastive_grad(S, T, kernels(S, T, 1.0)).skipped == loss.skipped
-        assert type(loss.value) is float and math.isfinite(loss.value)
+        blocks = kernels(S, T, 1.0)
+        loss = contrastive_loss(S, T, blocks)
+        # The value sums only the terms the blocks do not name as skipped.
+        terms = [(coef, naive_class_mmd(S, T, c1, c2, 1.0)) for c1, c2, coef in mmd._CONTRASTIVE_TERMS]
+        expected = sum(coef * term for coef, term in terms if term is not None)
+        assert blocks.skipped == oracle_class_pair_weights(S.labels, T.labels)[3]
+        assert type(loss) is float and loss == pytest.approx(expected, abs=1e-12)
+        grad = contrastive_grad(S, T, blocks)
+        assert grad.shape == (len(S.labels) + len(T.labels), 2) and np.all(np.isfinite(grad))
 
 
 class TestEmbeddingBatch:
@@ -313,9 +318,7 @@ class TestBlockedEqualsWholeArray:
             for m in SIZES:
                 a = EmbeddingBatch(rng.normal(size=(n, d)), rng.integers(0, 2, n))
                 b = EmbeddingBatch(rng.normal(size=(m, d)), rng.integers(0, 2, m))
-                dists = pairwise_sq_dists(a, b)
-                got = median_bandwidth(a, b, dists)
-                # The bandwidth leaves the shared distances for the kernels.
+                blocks = kernel_blocks(a, b)
                 s, t = a.vectors, b.vectors
                 oracle = []
                 peak = traced_peak(lambda: oracle.extend((
@@ -323,8 +326,10 @@ class TestBlockedEqualsWholeArray:
                     (oracle_sq_dists_by_rows(s, s), oracle_sq_dists_by_rows(t, t),
                      oracle_sq_dists_by_rows(s, t)))))
                 want_gamma, want = oracle
-                assert same_bits(got, want_gamma), (n, m, d)
-                assert all(same_bits(g, w) for g, w in zip(dists, want)), (n, m, d)
+                assert same_bits(blocks.gamma, want_gamma), (n, m, d)
+                # The bandwidth leaves the shared distances for the kernels.
+                kernels_want = (np.exp(-w / want_gamma) for w in want)
+                assert all(same_bits(g, w) for g, w in zip(blocks[1:4], kernels_want)), (n, m, d)
                 # at 400 + 400 rows and d = 65 the whole-array oracle took 323 MiB
                 assert peak < 64 * 2 ** 20, (n, m, d, peak)
 
@@ -352,21 +357,20 @@ class TestBlockedEqualsWholeArray:
             loss, grad = contrastive_loss(S, T, blocks), contrastive_grad(S, T, blocks)
             value, grad_s, grad_t, skipped = oracle_loss_and_grad(S, T, gamma)
             shape = (n, m, d)
-            assert same_bits(loss.value, value), shape
-            assert loss.skipped == skipped, shape
-            assert same_bits(grad.grad_source, grad_s), shape
-            assert same_bits(grad.grad_target, grad_t), shape
-            assert grad.skipped == skipped, shape
+            assert same_bits(loss, value), shape
+            assert blocks.skipped == skipped, shape
+            assert same_bits(grad, np.vstack([grad_s, grad_t])), shape
 
     @pytest.mark.parametrize("d", (32, 256))
     def test_bandwidth_peak_memory_does_not_grow_with_width(self, d):
         # The whole-array form held an (n + m)^2 * d difference, at
         # d = 32 here (369 MB). The blocked form holds the three distance
-        # blocks, the pairs the median reads and one block of differences.
+        # blocks, then the pairs the median reads or the kernels' weights,
+        # and one block of differences.
         rng = np.random.default_rng(d)
         a = EmbeddingBatch(rng.normal(size=(600, d)), rng.integers(0, 2, 600))
         b = EmbeddingBatch(rng.normal(size=(600, d)), rng.integers(0, 2, 600))
-        peak = traced_peak(lambda: median_bandwidth(a, b, pairwise_sq_dists(a, b)))
+        peak = traced_peak(lambda: kernel_blocks(a, b))
         assert peak < 2 * 1200 ** 2 * 8
 
     def test_shared_pass_peak_memory(self):
@@ -378,8 +382,7 @@ class TestBlockedEqualsWholeArray:
         b = EmbeddingBatch(rng.normal(size=(600, 32)), rng.integers(0, 2, 600))
 
         def one_pass():
-            dists = pairwise_sq_dists(a, b)
-            blocks = kernel_blocks(a, b, median_bandwidth(a, b, dists), dists)
+            blocks = kernel_blocks(a, b)
             contrastive_loss(a, b, blocks)
             contrastive_grad(a, b, blocks)
 
