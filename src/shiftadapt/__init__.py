@@ -45,7 +45,6 @@ from .mmd import (
 from .model import (
     ForwardRecord,
     Model,
-    ModelParams,
     TrainConfig,
     backward,
     compact,

@@ -126,6 +126,13 @@ def class_aware_sample(
     return chosen, with_replacement
 
 
+def _passes(rng: np.random.Generator, n: int):
+    """The positions of successive rng.permutation(n) passes; each pass is
+    drawn when its first position is read."""
+    while True:
+        yield from rng.permutation(n)
+
+
 def run_adaptation(
     model: Model,
     source: Dataset,
@@ -156,7 +163,7 @@ def run_adaptation(
     if len(calib) == 0 or not calib.is_fully_labeled():
         raise DatasetError("calibration dataset must be non-empty and fully labeled")
 
-    work, rows, (src_feats, tgt_feats, calib_feats) = compact(
+    work, (src_feats, tgt_feats, calib_feats) = compact(
         model, featurize_dataset(source, model.hash_dim),
         featurize_dataset(target, model.hash_dim) if target_feats is None else target_feats,
         featurize_dataset(calib, model.hash_dim) if calib_feats is None else calib_feats)
@@ -191,22 +198,11 @@ def run_adaptation(
                 raise EmptyPseudoLabelSetError(cfg.tau)
             if iterations_per_epoch is None:
                 iterations_per_epoch = math.ceil(n_pseudo / cfg.batch_size)
-            order = rng.permutation(n_pseudo)
-            pos = 0
-
-            def next_target_batch():  # positions into pseudo_rows and pseudo_labels
-                nonlocal order, pos
-                batch = []
-                while len(batch) < cfg.batch_size:
-                    if pos >= order.size:
-                        order, pos = rng.permutation(n_pseudo), 0
-                    batch.append(order[pos])
-                    pos += 1
-                return np.asarray(batch)
+            positions = _passes(rng, n_pseudo)  # into pseudo_rows and pseudo_labels
 
             for _ in range(iterations_per_epoch):
                 global_iter += 1
-                t_batch = next_target_batch()
+                t_batch = np.fromiter(positions, np.int64, cfg.batch_size)
                 t_labels = pseudo_labels[t_batch]
                 s_indices, with_repl = class_aware_sample(src_labels, t_labels, rng)
                 s_labels = src_labels[s_indices]
@@ -276,4 +272,4 @@ def run_adaptation(
 
     trace.best_epoch = best_epoch
     trace.best_calib_ba = best_ba
-    return expand(model, best, rows), trace
+    return expand(model, best), trace

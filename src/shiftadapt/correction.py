@@ -211,7 +211,7 @@ def predict_labels(
     cp: Optional[CorrectionParams] = None,
 ) -> list[int]:
     """Hard predictions, optionally through the corrected softmax; ties go to class 0."""
-    params, _, (feats,) = compact(model, feats)
+    params, (feats,) = compact(model, feats)
     logits = forward(params, feats).logits
     probs = apply_correction(cp, logits) if cp is not None else softmax(logits)
     return np.argmax(probs, axis=1).tolist()

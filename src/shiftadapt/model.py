@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import reprlib
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,33 +54,6 @@ class TrainConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass
-class ModelParams:
-    """The dense blocks that forward, backward and Optimizer work on; embed
-    has a row per index its inputs use (`compact`)."""
-
-    embed: np.ndarray  # (rows, d_embed)
-    hidden_w: np.ndarray  # (d_embed, d_hidden)
-    hidden_b: np.ndarray  # (d_hidden,)
-    out_w: np.ndarray  # (d_hidden, 2)
-    out_b: np.ndarray  # (2,)
-
-    @property
-    def d_embed(self) -> int:
-        return self.embed.shape[1]
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(*(getattr(self, b).copy() for b in PARAM_BLOCKS))
-
-    def blocks(self):
-        return tuple(getattr(self, b) for b in PARAM_BLOCKS)
-
-    @classmethod
-    def zeros_like(cls, params: "ModelParams") -> "ModelParams":
-        """Zero blocks shaped like params: a gradient or an optimizer moment."""
-        return cls(*(np.zeros_like(b) for b in params.blocks()))
-
-
 @dataclass(frozen=True)
 class ForwardRecord:
     """Cached forward pass of a batch of n examples: enough state for exact
@@ -94,9 +67,10 @@ class ForwardRecord:
 
 @dataclass
 class Model:
-    """The full-space model: a (hash_dim, d_embed) embedding table of which
-    only `rows` are held, and the dense blocks. A row it does not hold has
-    init's value for `seed`; `compact` gives the trainable blocks."""
+    """A (hash_dim, d_embed) embedding table of which only `rows` are held,
+    and the dense blocks. A row it does not hold has init's value for
+    `seed`. forward, backward and Optimizer read embed as the whole table,
+    so they take a `compact` model, whose inputs index its held rows."""
 
     hash_dim: int
     seed: int
@@ -110,6 +84,18 @@ class Model:
     @property
     def d_embed(self) -> int:
         return self.embed.shape[1]
+
+    def copy(self) -> "Model":
+        return Model(self.hash_dim, self.seed, self.rows.copy(),
+                     *(getattr(self, b).copy() for b in PARAM_BLOCKS))
+
+    def blocks(self):
+        return tuple(getattr(self, b) for b in PARAM_BLOCKS)
+
+
+def _zeros_like(params: Model) -> Model:
+    """Zero blocks over params' rows: a gradient or an optimizer moment."""
+    return replace(params, **{b: np.zeros_like(getattr(params, b)) for b in PARAM_BLOCKS})
 
 
 def init(hash_dim: int, d_embed: int, d_hidden: int, seed: int) -> Model:
@@ -151,7 +137,7 @@ def _init_rows(seed: int, hash_dim: int, d_embed: int, rows: np.ndarray) -> np.n
     return out
 
 
-def forward(params: ModelParams, feats: Sequence[SparseVec]) -> ForwardRecord:
+def forward(params: Model, feats: Sequence[SparseVec]) -> ForwardRecord:
     """Forward pass of a batch: phi = tanh(X @ embed @ hidden_w + hidden_b) and
     logits = phi @ out_w + out_b, with row i of X the sparse vector feats[i].
     FloatingPointError when the pre-activation X @ embed @ hidden_w + hidden_b
@@ -177,7 +163,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim == 0 or logits.shape[-1] != 2 or not np.all(np.isfinite(logits)):
         raise ValueError(f"logits must be finite with a last axis of 2, got shape {logits.shape}")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # Finite logits further apart than the float range shift to -inf, and
+    # exp(-inf) = 0 is the exact answer.
+    with np.errstate(over="ignore"):
+        shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
 
@@ -199,11 +188,11 @@ def nll_head(logits: np.ndarray, labels: Sequence[int], weights) -> tuple[np.nda
 
 
 def backward(
-    params: ModelParams,
+    params: Model,
     rec: ForwardRecord,
     grad_logits: np.ndarray,
     grad_phi: Optional[np.ndarray] = None,
-) -> ModelParams:
+) -> Model:
     """Exact batch gradients given (n, 2) upstream gradients at the logits and,
     optionally, (n, d_hidden) ones at phi.
 
@@ -219,7 +208,8 @@ def backward(
             raise ValueError(f"grad_phi has shape {gp.shape}, want {rec.phi.shape}")
         gphi += gp
     gh = gphi * (1.0 - rec.phi ** 2)
-    g = ModelParams(
+    g = replace(
+        params,
         embed=np.zeros_like(params.embed),
         hidden_w=rec.embedded.T @ gh,
         hidden_b=gh.sum(axis=0),
@@ -234,15 +224,15 @@ def backward(
 class Optimizer:
     """Adam over the fixed parameter blocks; updates are in-place."""
 
-    def __init__(self, learning_rate: float, params: ModelParams):
+    def __init__(self, learning_rate: float, params: Model):
         self.lr = learning_rate
         self.t = 0
-        self.m = ModelParams.zeros_like(params)
-        self.v = ModelParams.zeros_like(params)
+        self.m = _zeros_like(params)
+        self.v = _zeros_like(params)
         # Two scratch arrays per block: a step allocates no temporaries.
         self._scratch = [(np.empty_like(b), np.empty_like(b)) for b in params.blocks()]
 
-    def step(self, params: ModelParams, grads: ModelParams) -> None:
+    def step(self, params: Model, grads: Model) -> None:
         """One Adam step per block, in this operation order (which fixes every
         bit): m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
         p -= (lr*(m/c1)) / (sqrt(v/c2) + eps). FloatingPointError when a
@@ -270,15 +260,13 @@ class Optimizer:
                 p -= np.divide(s1, s2, out=s1)
 
 
-def compact(
-    model: Model, *feat_lists: Sequence[SparseVec]
-) -> tuple[ModelParams, np.ndarray, list[list[SparseVec]]]:
-    """Fresh (k, d_embed) params over the k embedding rows that feat_lists
-    read, those rows in ascending order, and each list with its vectors
-    remapped onto them. A row the model holds comes from its table, any
-    other from `_init_rows`.
+def compact(model: Model, *feat_lists: Sequence[SparseVec]) -> tuple[Model, list[list[SparseVec]]]:
+    """A fresh model that holds exactly the k embedding rows feat_lists
+    read, and each list with its vectors remapped onto its (k, d_embed)
+    embed. A row the model holds comes from its table, any other from
+    `_init_rows`.
 
-    Training the compact params is exact: a row no input reads gets a zero
+    Training the compact model is exact: a row no input reads gets a zero
     gradient, so Adam leaves it bit-identical, and every row that is read
     sees the same values in the same order. `expand` merges the result back.
     """
@@ -299,18 +287,19 @@ def compact(
     embed = np.empty((rows.size, model.d_embed))
     embed[held] = model.embed[np.searchsorted(model.rows, rows[held])]
     embed[~held] = _init_rows(model.seed, model.hash_dim, model.d_embed, rows[~held])
-    small = ModelParams(embed, *(getattr(model, b).copy() for b in PARAM_BLOCKS[1:]))
-    return small, rows, [[next(remapped) for _ in feats] for feats in feat_lists]
+    small = Model(model.hash_dim, model.seed, rows, embed,
+                  *(getattr(model, b).copy() for b in PARAM_BLOCKS[1:]))
+    return small, [[next(remapped) for _ in feats] for feats in feat_lists]
 
 
-def expand(model: Model, small: ModelParams, rows: np.ndarray) -> Model:
-    """model holding `rows` too, at small.embed's values, with small's other
-    blocks; the inverse of `compact`. Neither input is modified."""
-    held = np.union1d(model.rows, rows)
+def expand(model: Model, trained: Model) -> Model:
+    """model holding trained's rows too, at trained's values, with trained's
+    other blocks; the inverse of `compact`. Neither input is modified."""
+    held = np.union1d(model.rows, trained.rows)
     embed = np.empty((held.size, model.d_embed))
     embed[np.searchsorted(held, model.rows)] = model.embed
-    embed[np.searchsorted(held, rows)] = small.embed
-    return Model(model.hash_dim, model.seed, held, embed, *small.blocks()[1:])
+    embed[np.searchsorted(held, trained.rows)] = trained.embed
+    return Model(model.hash_dim, model.seed, held, embed, *trained.blocks()[1:])
 
 
 def logits_ba(logits: np.ndarray, labels) -> float:
@@ -334,7 +323,7 @@ def pretrain(params: Model, train: Dataset, val: Dataset, cfg: TrainConfig) -> M
         raise DatasetError("pretrain requires fully labeled train and val datasets")
     if len(val) == 0:
         raise DatasetError("pretrain requires a non-empty validation split to pick the best epoch")
-    work, rows, (train_feats, val_feats) = compact(
+    work, (train_feats, val_feats) = compact(
         params, featurize_dataset(train, params.hash_dim), featurize_dataset(val, params.hash_dim))
     train_labels = np.asarray([ex.label for ex in train.examples])
     val_labels = np.asarray([ex.label for ex in val.examples])
@@ -357,7 +346,7 @@ def pretrain(params: Model, train: Dataset, val: Dataset, cfg: TrainConfig) -> M
         if ba > best_ba:
             best_ba = ba
             best = work.copy()
-    return expand(params, best, rows)
+    return expand(params, best)
 
 
 def save_checkpoint(params: Model, path) -> None:

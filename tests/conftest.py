@@ -63,11 +63,12 @@ def oracle_embed(seed, hash_dim, d_embed):
 
 
 def dense(m):
-    """The dense ModelParams of a model.Model: its held rows, every other row
-    from the oracle table, and copies of its other blocks."""
+    """model.Model m holding every row: its held rows, every other row from
+    the oracle table, and copies of its other blocks."""
     embed = oracle_embed(m.seed, m.hash_dim, m.d_embed)
     embed[m.rows] = m.embed
-    return model.ModelParams(embed, *(getattr(m, b).copy() for b in model.PARAM_BLOCKS[1:]))
+    return model.Model(m.hash_dim, m.seed, np.arange(m.hash_dim), embed,
+                       *(getattr(m, b).copy() for b in model.PARAM_BLOCKS[1:]))
 
 
 def ba_on(m, dataset):
@@ -81,7 +82,6 @@ def logits_and_labels(m, dataset):
 
 
 def same_params(a, b):
-    """Whether two ModelParams, or two models in their dense form, hold
-    bit-identical blocks."""
-    a, b = (dense(x) if isinstance(x, model.Model) else x for x in (a, b))
+    """Whether two models, in their dense form, hold bit-identical blocks."""
+    a, b = dense(a), dense(b)
     return all(np.array_equal(x, y) for x, y in zip(a.blocks(), b.blocks()))

@@ -50,6 +50,14 @@ class TestClassAwareSample:
             zeros = [ex for ex in batch if ex.label == 0]
             assert len(set(ex.text for ex in zeros)) <= 2  # duplicates permitted
 
+    def test_pool_of_exactly_k_is_drawn_without_replacement(self):
+        labels = [0, 0, 0, 1, 1, 1, 1]
+        for seed in range(20):
+            chosen, with_replacement = class_aware_sample(labels, [0, 0, 0, 1],
+                                                          np.random.default_rng(seed))
+            assert not with_replacement
+            assert sorted(chosen[:3]) == [0, 1, 2] and len(set(chosen)) == 4
+
     def test_missing_class_raises(self):
         source = labeled_source({1: 10})
         with pytest.raises(AdaptationError, match="class 0"):

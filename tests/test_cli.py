@@ -621,6 +621,21 @@ class TestEvaluate:
             (pipeline_dir["pre"] / "pretrain_metrics.json").read_text()
         )
 
+    def test_logits_wider_apart_than_the_float_range(self, pipeline_dir, tmp_path, capsys):
+        # every logit pair is about (1.7e308, -1.7e308): finite, but their
+        # gap is not, and class 0 wins every row without a warning
+        m = model.load_checkpoint(pipeline_dir["pre"] / "pretrained.npz")
+        m.out_b[:] = [1.7e308, -1.7e308]
+        checkpoint = tmp_path / "wide.npz"
+        model.save_checkpoint(m, checkpoint)
+        test_set = pipeline_dir["pre"] / "source_test.jsonl"
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(test_set)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        negatives = sum(ex.label == 0 for ex in data.load_jsonl(test_set).examples)
+        assert json.loads(out)["support_neg"] == negatives and json.loads(out)["ba"] == 0.5
+
     def test_reproduces_the_adapt_summary_exactly(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "ad"
         args = ["adapt", "--config", str(pipeline_dir["cfg"]),

@@ -62,6 +62,12 @@ class TestMedianBandwidth:
         b = EmbeddingBatch(np.array([[2.0, 0.0]]), np.array([1]))
         assert kernel_blocks(a, b).gamma == 4.0
 
+    def test_tiny_median_is_kept(self):
+        # only a median below 1e-12 falls back; 1e-8 is a bandwidth
+        a = EmbeddingBatch(np.array([[0.0, 0.0]]), np.array([0]))
+        b = EmbeddingBatch(np.array([[1e-4, 0.0]]), np.array([1]))
+        assert kernel_blocks(a, b).gamma == pytest.approx(1e-8, rel=1e-12)
+
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(2)
         vecs = rng.normal(size=(6, 3))

@@ -156,6 +156,11 @@ class TestSoftmax:
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert np.all(probs > 0)
 
+    def test_logits_wider_apart_than_the_float_range(self):
+        # the max-shift overflows to -inf: no warning, and exp(-inf) = 0
+        probs = model.softmax(np.array([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]]))
+        assert np.array_equal(probs, [[1.0, 0.0], [0.0, 1.0]])
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             model.softmax(np.array([np.nan, 0.0]))
@@ -280,7 +285,7 @@ class TestOptimizer:
         an entry whose gradient is zero stays bit-identical."""
         p = dense_init(16, 4, 4, seed=0)
         before = p.copy()
-        g = model.ModelParams.zeros_like(p)
+        g = model._zeros_like(p)
         g.out_b[:] = [1.0, -2.0]
         g.embed[3] = np.linspace(-1e-3, 1e-3, 4)
         model.Optimizer(0.1, p).step(p, g)
@@ -294,13 +299,22 @@ class TestOptimizer:
         for name in ("hidden_w", "hidden_b", "out_w"):
             assert np.array_equal(getattr(p, name), getattr(before, name))
 
+    def test_adam_epsilon(self):
+        # |m/c1| = sqrt(v/c2) = |g| after one step, so g = 1e-8 = eps moves p by lr/2
+        p = dense_init(16, 4, 4, seed=0)
+        before = p.out_b.copy()
+        g = model._zeros_like(p)
+        g.out_b[:] = 1e-8
+        model.Optimizer(0.1, p).step(p, g)
+        assert np.allclose(before - p.out_b, 0.05, rtol=1e-9, atol=0)
+
     def test_adam_deterministic(self):
         def run():
             p = dense_init(16, 4, 4, seed=0)
             opt = model.Optimizer(1e-3, p)
             rng = np.random.default_rng(4)
             for _ in range(5):
-                g = model.ModelParams.zeros_like(p)
+                g = model._zeros_like(p)
                 g.out_w += rng.normal(size=g.out_w.shape)
                 opt.step(p, g)
             return p
@@ -311,12 +325,13 @@ class TestOptimizer:
         """30 steps on 30%-sparse gradients equal the allocating formula bit for bit."""
         p = dense_init(64, 8, 4, seed=0)
         ref = p.copy()
-        m, v = model.ModelParams.zeros_like(p), model.ModelParams.zeros_like(p)
+        m, v = model._zeros_like(p), model._zeros_like(p)
         opt = model.Optimizer(1e-2, p)
         rng = np.random.default_rng(9)
         for t in range(1, 31):
-            g = model.ModelParams(*(rng.normal(size=b.shape) * (rng.random(b.shape) < 0.3)
-                                    for b in p.blocks()))
+            g = model._zeros_like(p)
+            for b in g.blocks():
+                b += rng.normal(size=b.shape) * (rng.random(b.shape) < 0.3)
             opt.step(p, g)
             c1, c2 = 1.0 - model.ADAM_BETA1 ** t, 1.0 - model.ADAM_BETA2 ** t
             for pb, gb, mb, vb in zip(ref.blocks(), g.blocks(), m.blocks(), v.blocks()):
@@ -331,7 +346,7 @@ class TestOptimizer:
 
     def test_second_moment_overflow_raises(self):
         p = dense_init(16, 4, 4, seed=0)
-        g = model.ModelParams.zeros_like(p)
+        g = model._zeros_like(p)
         g.hidden_w[0, 0] = 1e300
         with pytest.raises(FloatingPointError, match="second moment of hidden_w"):
             model.Optimizer(1e-3, p).step(p, g)
@@ -341,7 +356,7 @@ class TestOptimizer:
         # v is never negative, so the guard reads only its max: a NaN or
         # infinite gradient must still reach it
         p = dense_init(16, 4, 4, seed=0)
-        g = model.ModelParams.zeros_like(p)
+        g = model._zeros_like(p)
         g.out_b[1] = bad
         before = p.out_b.copy()
         with pytest.raises(FloatingPointError, match="second moment of out_b"):
@@ -361,8 +376,8 @@ def unread_rows(m, *datasets):
 def init_values_of_unheld(m, rows):
     """rows are not held by m, and compact gives them init's values."""
     assert not np.isin(rows, m.rows).any()
-    small, got, _ = model.compact(m, [data.SparseVec(rows, np.ones(rows.size), m.hash_dim)])
-    assert np.array_equal(got, rows)
+    small, _ = model.compact(m, [data.SparseVec(rows, np.ones(rows.size), m.hash_dim)])
+    assert np.array_equal(small.rows, rows)
     return np.array_equal(small.embed, oracle_embed(m.seed, m.hash_dim, m.d_embed)[rows])
 
 
@@ -376,7 +391,8 @@ class TestCompact:
         for _ in range(12):
             idx = np.sort(rng.choice(read, size=rng.integers(0, 6), replace=False))
             feats.append(data.SparseVec(idx.astype(np.int64), rng.normal(size=idx.size), 64))
-        small, rows, (small_feats,) = model.compact(m, feats)
+        small, (small_feats,) = model.compact(m, feats)
+        rows = small.rows
         assert np.array_equal(rows, np.unique(np.concatenate([x.indices for x in feats])))
         for x, y in zip(feats, small_feats):
             assert np.array_equal(rows[y.indices], x.indices) and y.values is x.values
@@ -389,35 +405,35 @@ class TestCompact:
             for params, opt, fs in ((full, opt_full, feats), (small, opt_small, small_feats)):
                 rec = model.forward(params, [fs[i] for i in batch])
                 opt.step(params, model.backward(params, rec, gl, gp))
-        out = model.expand(m, small, rows)
+        out = model.expand(m, small)
         assert np.array_equal(out.rows, rows) and same_params(out, full)
         assert init_values_of_unheld(out, np.setdiff1d(np.arange(64), rows))
         assert not np.array_equal(out.embed, start.embed[rows])
 
     def test_compact_takes_held_rows_from_the_table(self):
         m = model.init(64, 4, 5, seed=1)
-        small, rows, _ = model.compact(m, [toy_vec()])
+        small, _ = model.compact(m, [toy_vec()])
         small.embed += 1.0
-        held = model.expand(m, small, rows)
-        again, rows2, _ = model.compact(held, [toy_vec(pairs=((3, 1.0), (40, 1.0)))])
-        assert rows2.tolist() == [3, 40]
+        held = model.expand(m, small)
+        again, _ = model.compact(held, [toy_vec(pairs=((3, 1.0), (40, 1.0)))])
+        assert again.rows.tolist() == [3, 40]
         assert np.array_equal(again.embed[0], dense(m).embed[3] + 1.0)
         assert np.array_equal(again.embed[1], dense(m).embed[40])
         # expand merges: row 17 stays held, row 40 joins
-        merged = model.expand(held, again, rows2)
+        merged = model.expand(held, again)
         assert merged.rows.tolist() == [3, 17, 40]
         assert np.array_equal(merged.embed, np.vstack([again.embed[0], held.embed[1], again.embed[1]]))
 
     def test_compact_and_expand_leave_their_inputs_alone(self):
         m = model.init(64, 4, 5, seed=1)
         before = copy.deepcopy(m)
-        small, rows, _ = model.compact(m, [toy_vec()], [toy_vec(pairs=((40, 1.0),))])
-        assert rows.tolist() == [3, 17, 40]
+        small, _ = model.compact(m, [toy_vec()], [toy_vec(pairs=((40, 1.0),))])
+        assert small.rows.tolist() == [3, 17, 40]
         for block in small.blocks():
             block += 1.0
-        out = model.expand(m, small, rows)
+        out = model.expand(m, small)
         assert same_params(m, before) and m.rows.size == 0
-        assert np.array_equal(out.embed, dense(before).embed[rows] + 1.0)
+        assert np.array_equal(out.embed, dense(before).embed[small.rows] + 1.0)
         with pytest.raises(ValueError):
             model.compact(m, [toy_vec(dim=128)])
 
@@ -425,7 +441,7 @@ class TestCompact:
         m = small_pretrained["params"]
         feats = data.featurize_dataset(small_pretrained["pool"], m.hash_dim)
         logits = model.forward(dense(m), feats).logits
-        small, _, (small_feats,) = model.compact(m, feats)
+        small, (small_feats,) = model.compact(m, feats)
         assert np.array_equal(model.forward(small, small_feats).logits.view(np.int64),
                               logits.view(np.int64))
         want = np.argmax(model.softmax(logits), axis=1).tolist()
@@ -536,10 +552,10 @@ class TestPretrain:
 def held_model(hash_dim=128, d_embed=8, d_hidden=4, seed=7):
     """A model that holds three rows, among them the last, moved off init's values."""
     m = model.init(hash_dim, d_embed, d_hidden, seed)
-    small, rows, _ = model.compact(m, [toy_vec(hash_dim, ((3, 1.0), (17, -0.5), (hash_dim - 1, 2.0)))])
+    small, _ = model.compact(m, [toy_vec(hash_dim, ((3, 1.0), (17, -0.5), (hash_dim - 1, 2.0)))])
     for block in small.blocks():
         block += 0.25
-    return model.expand(m, small, rows)
+    return model.expand(m, small)
 
 
 def write_meta(arrays, meta):
