@@ -19,7 +19,7 @@ from .correction import CorrectionParams, fit_correction, pseudo_label
 from .data import Dataset, SparseVec, featurize_dataset
 from .errors import AdaptationError, ConfigError, DatasetError, EmptyPseudoLabelSetError
 from .mmd import EmbeddingBatch, contrastive_grad, contrastive_loss, kernel_blocks
-from .model import Model, Optimizer, backward, compact, expand, forward, logits_ba, nll_head
+from .model import Model, Optimizer, _best_epoch, backward, compact, expand, forward, logits_ba, nll_head
 
 
 @dataclass
@@ -29,7 +29,7 @@ class AdaptConfig:
     lam: float = field(default=0.01, metadata={"key": "lambda"})  # "lambda" is a keyword
     epochs: int = 3
     seed: int = 0
-    iterations_per_epoch: Optional[int] = None  # None: ceil(|pool| / batch_size)
+    iterations_per_epoch: Optional[int] = None  # None: ceil(n_pseudo / batch_size) of epoch 1
     learning_rate: float = 1e-3
     label_correction: bool = True  # False: identity correction (ablation arm)
 
@@ -156,36 +156,28 @@ def run_adaptation(
     featurize_dataset(calib, model.hash_dim), made by the caller: that set is
     then not featurized again.
     """
-    if not source.is_fully_labeled():
-        raise DatasetError("source dataset must be fully labeled")
+    src_labels = source.labels()
     if len(target) == 0:
         raise DatasetError("target dataset must be non-empty")
-    if len(calib) == 0 or not calib.is_fully_labeled():
+    calib_labels = calib.labels()
+    if len(calib) == 0:
         raise DatasetError("calibration dataset must be non-empty and fully labeled")
 
     work, (src_feats, tgt_feats, calib_feats) = compact(
         model, featurize_dataset(source, model.hash_dim),
         featurize_dataset(target, model.hash_dim) if target_feats is None else target_feats,
         featurize_dataset(calib, model.hash_dim) if calib_feats is None else calib_feats)
-    src_labels = np.asarray([ex.label for ex in source.examples])
-    calib_labels = np.asarray([ex.label for ex in calib.examples])
-    tgt_truth = (np.asarray([ex.label for ex in target.examples])
-                 if target.is_fully_labeled() else None)
-
-    rng = np.random.default_rng(cfg.seed)
-    opt = Optimizer(cfg.learning_rate, work)
-    best = work.copy()
-    # Calibration logits of the current parameters: they give the epoch's
-    # calibration BA and feed the next correction fit.
-    calib_logits = forward(work, calib_feats).logits
-    best_ba = logits_ba(calib_logits, calib_labels)
-    best_epoch = 0
-
+    tgt_truth = target.labels() if target.is_fully_labeled() else None
     trace = AdaptTrace()
-    iterations_per_epoch = cfg.iterations_per_epoch
-    global_iter = 0
 
-    try:
+    def epochs():
+        # Calibration logits of the current parameters: they give the epoch's
+        # calibration BA and feed the next correction fit.
+        calib_logits = forward(work, calib_feats).logits
+        yield logits_ba(calib_logits, calib_labels)
+        rng = np.random.default_rng(cfg.seed)
+        opt = Optimizer(cfg.learning_rate, work)
+        iterations_per_epoch = cfg.iterations_per_epoch
         for epoch in range(1, cfg.epochs + 1):
             if cfg.label_correction:
                 cp = fit_correction(calib_logits, calib_labels)
@@ -201,7 +193,6 @@ def run_adaptation(
             positions = _passes(rng, n_pseudo)  # into pseudo_rows and pseudo_labels
 
             for _ in range(iterations_per_epoch):
-                global_iter += 1
                 t_batch = np.fromiter(positions, np.int64, cfg.batch_size)
                 t_labels = pseudo_labels[t_batch]
                 s_indices, with_repl = class_aware_sample(src_labels, t_labels, rng)
@@ -242,7 +233,7 @@ def run_adaptation(
                 opt.step(work, backward(work, rec, grad_logits, grad_phi))
 
                 trace.iterations.append(IterationRecord(
-                    iteration=global_iter,
+                    iteration=len(trace.iterations) + 1,
                     nll=nll_total,
                     contrastive=contrastive,
                     combined=nll_total + cfg.lam * contrastive,
@@ -263,13 +254,7 @@ def run_adaptation(
                 calib_ba=ba,
                 correction=cp.to_dict(),
             ))
-            if ba > best_ba:
-                best_ba = ba
-                best = work.copy()
-                best_epoch = epoch
-    except FloatingPointError as exc:
-        raise AdaptationError(f"adaptation diverged in epoch {epoch}: {exc}") from exc
+            yield ba
 
-    trace.best_epoch = best_epoch
-    trace.best_calib_ba = best_ba
+    best, trace.best_epoch, trace.best_calib_ba = _best_epoch(work, epochs(), "adaptation")
     return expand(model, best), trace

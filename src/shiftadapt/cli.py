@@ -78,6 +78,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        model_mod._check_hash_dim(self.hash_dim, "model.")
         if self.seed < 0:
             raise ConfigError(f"model.seed must be non-negative, got {self.seed}")
 
@@ -236,19 +237,14 @@ def cmd_synth(run: RunConfig) -> int:
 
 def _load_source_splits(run: RunConfig):
     source = data_mod.load_jsonl(_require_path(run, "source"))
-    if not source.is_fully_labeled():
-        raise DatasetError("source dataset must be fully labeled")
+    source.labels()  # DatasetError when a label is missing
     ratios = tuple(run.data.split_ratios)
     # The split seed is the training seed so pretrain and adapt agree on it.
     return data_mod.split(source, ratios, seed=run.train.seed)
 
 
-def _features_and_labels(dataset, hash_dim):
-    return data_mod.featurize_dataset(dataset, hash_dim), [ex.label for ex in dataset.examples]
-
-
 def _evaluate(params, feats, truth, cp=None) -> metrics_mod.MetricsReport:
-    if not truth:
+    if len(truth) == 0:
         raise DatasetError("the evaluation set is empty")
     preds = correction_mod.predict_labels(params, feats, cp)
     return metrics_mod.metrics_report(metrics_mod.confusion(preds, truth))
@@ -258,7 +254,8 @@ def cmd_pretrain(run: RunConfig) -> int:
     """Train on the source train split, report source test metrics, write a checkpoint."""
     train, val, test = _load_source_splits(run)
     trained = _pretrain(run, train, val)
-    report = to_dict(_evaluate(trained, *_features_and_labels(test, trained.hash_dim)))
+    test_feats = data_mod.featurize_dataset(test, trained.hash_dim)
+    report = to_dict(_evaluate(trained, test_feats, test.labels()))
 
     out_dir = _output_dir(run)
     model_mod.save_checkpoint(trained, out_dir / "pretrained.npz")
@@ -274,8 +271,7 @@ def cmd_adapt(run: RunConfig) -> int:
     train, val, _test = _load_source_splits(run)
     target = data_mod.load_jsonl(_require_path(run, "target"))
     calib = data_mod.load_jsonl(_require_path(run, "calib"))
-    if not calib.is_fully_labeled():
-        raise DatasetError("calibration dataset must be fully labeled")
+    calib_truth = calib.labels()
 
     if run.model.checkpoint is not None:
         pretrained = model_mod.load_checkpoint(run.model.checkpoint)
@@ -284,18 +280,15 @@ def cmd_adapt(run: RunConfig) -> int:
 
     if run.data.target_labels is not None:
         eval_set = data_mod.load_jsonl(run.data.target_labels)
-        if not eval_set.is_fully_labeled():
-            raise DatasetError("target_labels dataset must be fully labeled")
-        eval_name = "target_labels"
+        eval_truth, eval_name = eval_set.labels(), "target_labels"
         # The same pool with labels: training ignores them, and the
         # pseudo-label accuracy reads them.
         if [ex.text for ex in eval_set.examples] == [ex.text for ex in target.examples]:
             target = eval_set
     else:
-        eval_set = calib
-        eval_name = "calib"
+        eval_set, eval_truth, eval_name = calib, calib_truth, "calib"
 
-    eval_feats, eval_truth = _features_and_labels(eval_set, pretrained.hash_dim)
+    eval_feats = data_mod.featurize_dataset(eval_set, pretrained.hash_dim)
     ba_before = _evaluate(pretrained, eval_feats, eval_truth).ba
     # The pool or the calibration set, whichever is the evaluation set, is featurized once.
     adapted, trace = adapt_mod.run_adaptation(
@@ -336,12 +329,12 @@ def cmd_evaluate(checkpoint, dataset_path, correction_path=None, out_path=None) 
     """Evaluate a checkpoint on a labeled JSONL dataset, optionally through a correction."""
     params = model_mod.load_checkpoint(checkpoint)
     dataset = data_mod.load_jsonl(dataset_path)
-    if not dataset.is_fully_labeled():
-        raise DatasetError("evaluation dataset must be fully labeled")
+    truth = dataset.labels()
     cp = None
     if correction_path is not None:
         cp = correction_mod.CorrectionParams.from_dict(_read_json(correction_path))
-    report = to_dict(_evaluate(params, *_features_and_labels(dataset, params.hash_dim), cp))
+    feats = data_mod.featurize_dataset(dataset, params.hash_dim)
+    report = to_dict(_evaluate(params, feats, truth, cp))
     if out_path is not None:
         _dump_json(report, out_path)
     print(_json_text(report))

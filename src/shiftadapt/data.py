@@ -44,15 +44,17 @@ class Dataset:
     def is_fully_labeled(self) -> bool:
         return all(ex.label is not None for ex in self.examples)
 
+    def labels(self) -> np.ndarray:
+        """Every example's label, in order, as int64; DatasetError when one is missing."""
+        if not self.is_fully_labeled():
+            raise DatasetError(f"dataset {self.name!r} has unlabeled examples")
+        return np.fromiter((ex.label for ex in self.examples), np.int64, len(self))
+
     def class_prior(self) -> float:
         """Fraction of class-1 examples; requires every label to be present."""
         if not self.examples:
             raise DatasetError(f"dataset {self.name!r} is empty; prior undefined")
-        if not self.is_fully_labeled():
-            raise DatasetError(
-                f"dataset {self.name!r} has unlabeled examples; prior undefined"
-            )
-        return sum(ex.label for ex in self.examples) / len(self.examples)
+        return int(self.labels().sum()) / len(self)
 
 
 @dataclass(frozen=True, eq=False)

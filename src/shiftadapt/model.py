@@ -20,6 +20,7 @@ from .metrics import balanced_accuracy, confusion
 PROB_FLOOR = 1e-12
 CHECKPOINT_VERSION = 2
 _RUN_GAP = 64  # see _init_rows
+_MAX_HASH_DIM = 2 ** 24  # compact's row mask and cumsum take 9 bytes a row: 144 MiB
 
 # Fixed block order; gradient accumulation, optimizer updates and
 # finite-difference sweeps all iterate in this order.
@@ -29,6 +30,14 @@ PARAM_BLOCKS = ("embed", "hidden_w", "hidden_b", "out_w", "out_b")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+
+def _check_hash_dim(h: int, where: str) -> None:
+    """ConfigError, led by where, unless h is a power of two (featurize masks
+    its hashes) from 2 to _MAX_HASH_DIM."""
+    if not 2 <= h <= _MAX_HASH_DIM or h & (h - 1):
+        raise ConfigError(f"{where}hash_dim must be a power of two from 2 to {_MAX_HASH_DIM}, "
+                          f"got {reprlib.repr(h)}")
 
 
 def _is_finite(a: np.ndarray) -> bool:
@@ -308,6 +317,22 @@ def logits_ba(logits: np.ndarray, labels) -> float:
     return balanced_accuracy(confusion(np.argmax(softmax(logits), axis=1), labels))
 
 
+def _best_epoch(work: Model, scores, stage: str) -> tuple[Model, int, float]:
+    """The snapshot of work with the best held-out BA, its epoch and the BA.
+    scores, a stage's epochs training work in place, yields the BA before
+    training, then after each epoch. A tie keeps the earlier epoch. An epoch's
+    FloatingPointError becomes AdaptationError naming it; epoch 0's stays bare."""
+    best_ba, best, best_epoch = next(scores), work.copy(), 0
+    epoch = 0  # the last epoch that finished
+    try:
+        for epoch, ba in enumerate(scores, start=1):
+            if ba > best_ba:
+                best_ba, best, best_epoch = ba, work.copy(), epoch
+    except FloatingPointError as exc:
+        raise AdaptationError(f"{stage} diverged in epoch {epoch + 1}: {exc}") from exc
+    return best, best_epoch, best_ba
+
+
 def pretrain(params: Model, train: Dataset, val: Dataset, cfg: TrainConfig) -> Model:
     """Mini-batch NLL training; returns the snapshot with best validation BA.
 
@@ -319,33 +344,26 @@ def pretrain(params: Model, train: Dataset, val: Dataset, cfg: TrainConfig) -> M
     """
     if len(train) == 0:
         raise DatasetError("pretrain requires a non-empty training set")
-    if not train.is_fully_labeled() or not val.is_fully_labeled():
-        raise DatasetError("pretrain requires fully labeled train and val datasets")
+    train_labels, val_labels = train.labels(), val.labels()
     if len(val) == 0:
         raise DatasetError("pretrain requires a non-empty validation split to pick the best epoch")
     work, (train_feats, val_feats) = compact(
         params, featurize_dataset(train, params.hash_dim), featurize_dataset(val, params.hash_dim))
-    train_labels = np.asarray([ex.label for ex in train.examples])
-    val_labels = np.asarray([ex.label for ex in val.examples])
-    best = work.copy()
-    best_ba = logits_ba(forward(work, val_feats).logits, val_labels)
-    opt = Optimizer(cfg.learning_rate, work)
-    rng = np.random.default_rng(cfg.seed)
-    n = len(train_feats)
-    for epoch in range(1, cfg.max_epochs + 1):
-        perm = rng.permutation(n)
-        try:
-            for start in range(0, n, cfg.batch_size):
+
+    def epochs():
+        yield logits_ba(forward(work, val_feats).logits, val_labels)
+        opt = Optimizer(cfg.learning_rate, work)
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(cfg.max_epochs):
+            perm = rng.permutation(len(train_feats))
+            for start in range(0, len(perm), cfg.batch_size):
                 batch = perm[start : start + cfg.batch_size]
                 rec = forward(work, [train_feats[i] for i in batch])
                 _, grads = nll_head(rec.logits, train_labels[batch], 1.0 / len(batch))
                 opt.step(work, backward(work, rec, grads))
-            ba = logits_ba(forward(work, val_feats).logits, val_labels)
-        except FloatingPointError as exc:
-            raise AdaptationError(f"pretraining diverged in epoch {epoch}: {exc}") from exc
-        if ba > best_ba:
-            best_ba = ba
-            best = work.copy()
+            yield logits_ba(forward(work, val_feats).logits, val_labels)
+
+    best, _, _ = _best_epoch(work, epochs(), "pretraining")
     return expand(params, best)
 
 
@@ -360,9 +378,9 @@ def save_checkpoint(params: Model, path) -> None:
 
 def load_checkpoint(path) -> Model:
     """Read a save_checkpoint file. ConfigError when it is not an npz, has
-    another version, lacks an array, or breaks its header: rows that are not
-    increasing int64 below hash_dim, or a block that is not finite float64
-    of the header's shape."""
+    another version, lacks an array, or breaks its header: a hash_dim that is
+    not a power of two up to _MAX_HASH_DIM, rows that are not increasing int64
+    below hash_dim, or a block that is not finite float64 of its shape."""
     try:
         npz = np.load(path)
         if not isinstance(npz, np.lib.npyio.NpzFile):
@@ -382,6 +400,7 @@ def load_checkpoint(path) -> Model:
     if any(type(v) is not int for v in (h, e, d, seed)) or min(h, e, d) <= 0 or seed < 0:
         raise ConfigError(f"{path}: checkpoint meta needs positive integers hash_dim, d_embed, "
                           f"d_hidden and a non-negative integer seed, got {reprlib.repr(meta)}")
+    _check_hash_dim(h, f"{path}: checkpoint ")
     rows = arrays["rows"]
     if (rows.dtype != np.int64 or rows.ndim != 1 or np.any(np.diff(rows) <= 0)
             or (rows.size and (rows[0] < 0 or rows[-1] >= h))):

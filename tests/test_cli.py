@@ -246,6 +246,8 @@ class TestConfigMachinery:
         pytest.param("adapt." + "x" * 500 + "=1", id="adapt.<500 characters>=1"),
         # a value nested past the JSON parser's recursion limit
         pytest.param("adapt.tau=" + "[" * 100_000 + "]" * 100_000, id="adapt.tau=<nested 100,000 deep>"),
+        # featurize masks its hashes, so the width must be a power of two
+        "model.hash_dim=3000",
         # zero-length class mean vectors
         'data.synth={"n_source": 300, "n_target": 360, "source_prior": 0.5, "target_prior": 0.9, '
         '"class_means_source": [[], []], "class_means_target": [[], []]}',
@@ -276,6 +278,7 @@ class TestConfigMachinery:
         "checkpoint_without_meta", "checkpoint_nan_weight", "adapt_checkpoint_nan_weight",
         "evaluate_empty_dataset", "pretrain_four_examples", "pretrain_empty_test_split",
         "checkpoint_overflows", "adapt_pretraining_diverges", "adapt_contrastive_diverges",
+        "pretrain_hash_dim_2_62",
     ])
     def test_expected_failure_exits_2_with_one_line(self, pipeline_dir, tmp_path, capsys, case):
         data_dir, missing = pipeline_dir["data"], str(tmp_path / "missing")
@@ -354,6 +357,9 @@ class TestConfigMachinery:
             "adapt_contrastive_diverges": adapt + [
                 "--set", "adapt.lambda=1e300", "--set", "adapt.epochs=1",
             ],
+            # compact allocates 9 bytes a row, so a width past 2^24 is refused up front
+            "pretrain_hash_dim_2_62": with_data_paths(pretrain, data_dir) + [
+                "--set", f"model.hash_dim={2 ** 62}"],
         }[case]
         assert main(argv) == cli.EXIT_USAGE
         err = assert_one_line_error(capsys)

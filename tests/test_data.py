@@ -475,6 +475,13 @@ class TestGenSynthetic:
 
 
 class TestDataset:
+    def test_labels(self):
+        labels = data.Dataset([data.Example("a", 1), data.Example("b", 0)], name="s").labels()
+        assert labels.dtype == np.int64 and labels.tolist() == [1, 0]
+        assert data.Dataset([], name="e").labels().dtype == np.int64
+        with pytest.raises(DatasetError, match="^dataset 'u' has unlabeled examples$"):
+            data.Dataset([data.Example("a", 1), data.Example("b", None)], name="u").labels()
+
     def test_class_prior_requires_full_labels(self):
         ds = data.Dataset([data.Example("a", 1), data.Example("b", None)], name="s")
         with pytest.raises(DatasetError):

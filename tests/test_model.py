@@ -549,6 +549,62 @@ class TestPretrain:
                            model.TrainConfig(max_epochs=20))
 
 
+def scripted_ba(monkeypatch, module, scores):
+    """Make module.logits_ba return scores in turn, raising any exception among them."""
+    script = iter(scores)
+
+    def fake(logits, labels):
+        score = next(script)
+        if isinstance(score, Exception):
+            raise score
+        return score
+
+    monkeypatch.setattr(module, "logits_ba", fake)
+
+
+def run_stage(stage, fixture, epochs):
+    """The model a stage returns after `epochs` epochs, and the epoch it reports."""
+    if stage == "pretraining":
+        return model.pretrain(model.init(256, 8, 8, seed=0), fixture["train"], fixture["val"],
+                              model.TrainConfig(max_epochs=epochs, seed=0)), None
+    out, trace = adapt.run_adaptation(
+        fixture["params"], fixture["train"], fixture["pool"], fixture["calib"],
+        adapt.AdaptConfig(epochs=epochs, batch_size=8, iterations_per_epoch=2, seed=0))
+    return out, trace.best_epoch
+
+
+STAGE_MODULES = {"pretraining": model, "adaptation": adapt}
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_MODULES))
+class TestBestEpoch:
+    """model._best_epoch, the snapshot loop both stages share, seen through each stage."""
+
+    def test_divergence_in_epoch_2_names_epoch_2(self, monkeypatch, small_pretrained, stage):
+        scripted_ba(monkeypatch, STAGE_MODULES[stage], [0.5, 0.6, FloatingPointError("boom")])
+        with pytest.raises(AdaptationError, match=f"^{stage} diverged in epoch 2: boom$"):
+            run_stage(stage, small_pretrained, epochs=3)
+
+    def test_epoch_0_overflow_stays_bare(self, monkeypatch, small_pretrained, stage):
+        scripted_ba(monkeypatch, STAGE_MODULES[stage], [FloatingPointError("boom")])
+        with pytest.raises(FloatingPointError, match="^boom$"):
+            run_stage(stage, small_pretrained, epochs=2)
+
+    def test_tie_keeps_the_earlier_epoch(self, monkeypatch, small_pretrained, stage):
+        scripted_ba(monkeypatch, STAGE_MODULES[stage], [0.5, 0.7])
+        first, _ = run_stage(stage, small_pretrained, epochs=1)
+        scripted_ba(monkeypatch, STAGE_MODULES[stage], [0.5, 0.7, 0.7])
+        kept, epoch = run_stage(stage, small_pretrained, epochs=2)
+        assert same_params(kept, first) and epoch in (None, 1)
+        scripted_ba(monkeypatch, STAGE_MODULES[stage], [0.5, 0.5])
+        unchanged, epoch = run_stage(stage, small_pretrained, epochs=1)
+        assert epoch in (None, 0)
+        if stage == "pretraining":
+            assert same_params(unchanged, model.init(256, 8, 8, seed=0))
+        else:
+            assert same_params(unchanged, small_pretrained["params"])
+
+
 def held_model(hash_dim=128, d_embed=8, d_hidden=4, seed=7):
     """A model that holds three rows, among them the last, moved off init's values."""
     m = model.init(hash_dim, d_embed, d_hidden, seed)
@@ -581,6 +637,9 @@ MALFORMED = {
     "a missing seed": lambda a, meta: meta.pop("seed"),
     "a float seed": lambda a, meta: meta.update(seed=7.0),
     "a zero hash_dim": lambda a, meta: meta.update(hash_dim=0),
+    # compact allocates 9 bytes a row, so a width past 2^24 is refused up front
+    "a hash_dim of 2^62": lambda a, meta: meta.update(hash_dim=2 ** 62),
+    "a hash_dim not a power of two": lambda a, meta: meta.update(hash_dim=192),
     "an infinite table entry": lambda a, meta: a["embed"].__setitem__((1, 2), np.inf),
     "a NaN block": lambda a, meta: a["out_w"].__setitem__((0, 0), np.nan),
     "a float32 block": lambda a, meta: a.update(hidden_b=a["hidden_b"].astype(np.float32)),
