@@ -19,7 +19,7 @@ from .correction import CorrectionParams, fit_correction, pseudo_label
 from .data import Dataset, SparseVec, featurize_dataset
 from .errors import AdaptationError, ConfigError, DatasetError, EmptyPseudoLabelSetError
 from .mmd import EmbeddingBatch, contrastive_grad, contrastive_loss, kernel_blocks
-from .model import Model, Optimizer, _best_epoch, backward, compact, expand, forward, logits_ba, nll_head
+from .model import Model, Optimizer, _best_epoch, backward, compact, forward, logits_ba, nll_head
 
 
 @dataclass
@@ -149,8 +149,8 @@ def run_adaptation(
     pseudo-label accuracy diagnostic. Returns the snapshot with the best
     calibration balanced accuracy (the input model counts as epoch 0) plus
     the full trace. Bit-reproducible for fixed inputs and seed. Training runs
-    on the embedding rows source, target and calib read (`compact`);
-    the other rows come back unchanged. AdaptationError, naming the epoch,
+    on model's rows and those source, target and calib read (`compact`); a
+    row they do not read comes back unchanged. AdaptationError, naming the epoch,
     when training leaves the float range. target_feats and calib_feats,
     when given, are featurize_dataset(target, model.hash_dim) and
     featurize_dataset(calib, model.hash_dim), made by the caller: that set is
@@ -257,4 +257,4 @@ def run_adaptation(
             yield ba
 
     best, trace.best_epoch, trace.best_calib_ba = _best_epoch(work, epochs(), "adaptation")
-    return expand(model, best), trace
+    return best, trace

@@ -78,9 +78,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        model_mod._check_hash_dim(self.hash_dim, "model.")
-        if self.seed < 0:
-            raise ConfigError(f"model.seed must be non-negative, got {self.seed}")
+        model_mod._check_shape("model.", self.hash_dim, self.d_embed, self.d_hidden, self.seed)
 
 
 @dataclass
@@ -131,6 +129,9 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
             value = raw
         except RecursionError as exc:
             raise ConfigError(f"--set {reprlib.repr(dotted)}: JSON nested too deeply") from exc
+        except ValueError as exc:  # past CPython's integer digit limit
+            raise ConfigError(f"--set {reprlib.repr(dotted)}: an integer with too many digits "
+                              "to read") from exc
         node = cfg
         keys = dotted.split(".")
         for key in keys[:-1]:

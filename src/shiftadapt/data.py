@@ -77,7 +77,8 @@ def _validate_label(raw, path: str, lineno: int) -> Optional[int]:
 def _parse_json(raw: bytes, error: type[Exception], *where):
     """The JSON value of UTF-8 bytes; error, led by where's parts joined with
     ":" (joined only on failure: a dataset parses each line here), when they
-    are not UTF-8, not JSON, or nested past the recursion limit (RFC 8259 §8.1, §9)."""
+    are not UTF-8, not JSON, nested past the recursion limit (RFC 8259 §8.1,
+    §9), or hold an integer past CPython's digit limit (4,300 by default)."""
     try:
         return json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -86,6 +87,8 @@ def _parse_json(raw: bytes, error: type[Exception], *where):
         fault, cause = f"malformed JSON ({exc.msg})", exc
     except RecursionError as exc:
         fault, cause = "JSON nested too deeply", exc
+    except ValueError as exc:
+        fault, cause = "an integer with too many digits to read", exc
     raise error(":".join(map(str, where)) + f": {fault}") from cause
 
 

@@ -21,6 +21,7 @@ PROB_FLOOR = 1e-12
 CHECKPOINT_VERSION = 2
 _RUN_GAP = 64  # see _init_rows
 _MAX_HASH_DIM = 2 ** 24  # compact's row mask and cumsum take 9 bytes a row: 144 MiB
+_MAX_WIDTH = 2 ** 12  # d_embed and d_hidden: hidden_w takes 8 bytes a cell, 128 MiB
 
 # Fixed block order; gradient accumulation, optimizer updates and
 # finite-difference sweeps all iterate in this order.
@@ -32,12 +33,18 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _check_hash_dim(h: int, where: str) -> None:
-    """ConfigError, led by where, unless h is a power of two (featurize masks
-    its hashes) from 2 to _MAX_HASH_DIM."""
-    if not 2 <= h <= _MAX_HASH_DIM or h & (h - 1):
-        raise ConfigError(f"{where}hash_dim must be a power of two from 2 to {_MAX_HASH_DIM}, "
-                          f"got {reprlib.repr(h)}")
+def _check_shape(where: str, hash_dim, d_embed, d_hidden, seed) -> None:
+    """ConfigError, led by where, unless all four are integers: hash_dim a
+    power of two (featurize masks its hashes) from 2 to _MAX_HASH_DIM,
+    d_embed and d_hidden from 1 to _MAX_WIDTH, and seed non-negative."""
+    for name, v, lo, hi, rule in (
+            ("hash_dim", hash_dim, 2, _MAX_HASH_DIM, f"a power of two from 2 to {_MAX_HASH_DIM}"),
+            ("d_embed", d_embed, 1, _MAX_WIDTH, f"an integer from 1 to {_MAX_WIDTH}"),
+            ("d_hidden", d_hidden, 1, _MAX_WIDTH, f"an integer from 1 to {_MAX_WIDTH}"),
+            ("seed", seed, 0, np.inf, "a non-negative integer")):
+        if (not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not lo <= v <= hi
+                or name == "hash_dim" and v & (v - 1)):
+            raise ConfigError(f"{where}{name} must be {rule}, got {reprlib.repr(v)}")
 
 
 def _is_finite(a: np.ndarray) -> bool:
@@ -79,7 +86,8 @@ class Model:
     """A (hash_dim, d_embed) embedding table of which only `rows` are held,
     and the dense blocks. A row it does not hold has init's value for
     `seed`. forward, backward and Optimizer read embed as the whole table,
-    so they take a `compact` model, whose inputs index its held rows."""
+    so they take a `compact` model, whose inputs index its held rows; a
+    training stage returns the compact model it trained."""
 
     hash_dim: int
     seed: int
@@ -113,8 +121,7 @@ def init(hash_dim: int, d_embed: int, d_hidden: int, seed: int) -> Model:
     default_rng(seed) draws the embedding table, then hidden_w, then out_w.
     The model holds no embedding row: hidden_w starts hash_dim * d_embed
     draws in, and `_init_rows` redraws any row of the table."""
-    if min(hash_dim, d_embed, d_hidden) <= 0 or seed < 0:
-        raise ConfigError("all model dimensions must be positive and the seed non-negative")
+    _check_shape("", hash_dim, d_embed, d_hidden, seed)
     rng = np.random.Generator(np.random.PCG64(seed).advance(hash_dim * d_embed))
     bound_e, bound_h = 1.0 / np.sqrt(d_embed), 1.0 / np.sqrt(d_hidden)
     hidden_w = rng.uniform(-bound_e, bound_e, size=(d_embed, d_hidden))
@@ -270,14 +277,13 @@ class Optimizer:
 
 
 def compact(model: Model, *feat_lists: Sequence[SparseVec]) -> tuple[Model, list[list[SparseVec]]]:
-    """A fresh model that holds exactly the k embedding rows feat_lists
-    read, and each list with its vectors remapped onto its (k, d_embed)
-    embed. A row the model holds comes from its table, any other from
-    `_init_rows`.
+    """A fresh model that holds model's rows and the rows feat_lists read,
+    k in all, and each list with its vectors remapped onto its (k, d_embed)
+    embed. A held row keeps its bits, any other comes from `_init_rows`.
 
-    Training the compact model is exact: a row no input reads gets a zero
-    gradient, so Adam leaves it bit-identical, and every row that is read
-    sees the same values in the same order. `expand` merges the result back.
+    A stage trains the compact model and returns it: a row no input reads
+    gets a zero gradient, so Adam leaves it bit-identical, and every row
+    that is read sees the same values in the same order.
     """
     vecs = [x for feats in feat_lists for x in feats]
     if any(x.dim != model.hash_dim for x in vecs):
@@ -285,6 +291,7 @@ def compact(model: Model, *feat_lists: Sequence[SparseVec]) -> tuple[Model, list
     indices = np.concatenate([x.indices for x in vecs] + [np.empty(0, np.int64)])
     read = np.zeros(model.hash_dim, dtype=bool)
     read[indices] = True
+    read[model.rows] = True
     rows = np.flatnonzero(read)
     # Embed row r is table row cumsum(read)[r] - 1. The map keeps order, so
     # every remapped vector stays sorted; a lookup is cheaper than a sort.
@@ -292,23 +299,14 @@ def compact(model: Model, *feat_lists: Sequence[SparseVec]) -> tuple[Model, list
     ends = np.cumsum([x.indices.size for x in vecs], dtype=np.int64).tolist()
     remapped = iter([SparseVec(new_indices[a:b], x.values, rows.size)
                      for a, b, x in zip([0] + ends, ends, vecs)])
+    # model.rows is a subset of rows, in order, so the held rows need no gather
     held = np.isin(rows, model.rows, assume_unique=True)
     embed = np.empty((rows.size, model.d_embed))
-    embed[held] = model.embed[np.searchsorted(model.rows, rows[held])]
+    embed[held] = model.embed
     embed[~held] = _init_rows(model.seed, model.hash_dim, model.d_embed, rows[~held])
     small = Model(model.hash_dim, model.seed, rows, embed,
                   *(getattr(model, b).copy() for b in PARAM_BLOCKS[1:]))
     return small, [[next(remapped) for _ in feats] for feats in feat_lists]
-
-
-def expand(model: Model, trained: Model) -> Model:
-    """model holding trained's rows too, at trained's values, with trained's
-    other blocks; the inverse of `compact`. Neither input is modified."""
-    held = np.union1d(model.rows, trained.rows)
-    embed = np.empty((held.size, model.d_embed))
-    embed[np.searchsorted(held, model.rows)] = model.embed
-    embed[np.searchsorted(held, trained.rows)] = trained.embed
-    return Model(model.hash_dim, model.seed, held, embed, *trained.blocks()[1:])
 
 
 def logits_ba(logits: np.ndarray, labels) -> float:
@@ -338,9 +336,9 @@ def pretrain(params: Model, train: Dataset, val: Dataset, cfg: TrainConfig) -> M
 
     The initial parameters count as the epoch-0 snapshot, so the result never
     validates worse than the input. Deterministic for a fixed seed. Training
-    runs on the embedding rows train and val read (`compact`); the other
-    rows come back unchanged. AdaptationError, naming the epoch, when
-    training leaves the float range.
+    runs on params' rows and those train and val read (`compact`); a row
+    they do not read comes back unchanged. AdaptationError, naming the
+    epoch, when training leaves the float range.
     """
     if len(train) == 0:
         raise DatasetError("pretrain requires a non-empty training set")
@@ -363,8 +361,7 @@ def pretrain(params: Model, train: Dataset, val: Dataset, cfg: TrainConfig) -> M
                 opt.step(work, backward(work, rec, grads))
             yield logits_ba(forward(work, val_feats).logits, val_labels)
 
-    best, _, _ = _best_epoch(work, epochs(), "pretraining")
-    return expand(params, best)
+    return _best_epoch(work, epochs(), "pretraining")[0]
 
 
 def save_checkpoint(params: Model, path) -> None:
@@ -378,9 +375,9 @@ def save_checkpoint(params: Model, path) -> None:
 
 def load_checkpoint(path) -> Model:
     """Read a save_checkpoint file. ConfigError when it is not an npz, has
-    another version, lacks an array, or breaks its header: a hash_dim that is
-    not a power of two up to _MAX_HASH_DIM, rows that are not increasing int64
-    below hash_dim, or a block that is not finite float64 of its shape."""
+    another version, lacks an array, or breaks its header: widths or a seed
+    that `_check_shape` refuses, rows that are not increasing int64 below
+    hash_dim, or a block that is not finite float64 of its shape."""
     try:
         npz = np.load(path)
         if not isinstance(npz, np.lib.npyio.NpzFile):
@@ -397,10 +394,7 @@ def load_checkpoint(path) -> Model:
     if set(arrays) != {"rows", *PARAM_BLOCKS}:
         raise ConfigError(f"{path} is not a readable checkpoint: it lacks an array")
     h, e, d, seed = (meta.get(k) for k in ("hash_dim", "d_embed", "d_hidden", "seed"))
-    if any(type(v) is not int for v in (h, e, d, seed)) or min(h, e, d) <= 0 or seed < 0:
-        raise ConfigError(f"{path}: checkpoint meta needs positive integers hash_dim, d_embed, "
-                          f"d_hidden and a non-negative integer seed, got {reprlib.repr(meta)}")
-    _check_hash_dim(h, f"{path}: checkpoint ")
+    _check_shape(f"{path}: checkpoint ", h, e, d, seed)
     rows = arrays["rows"]
     if (rows.dtype != np.int64 or rows.ndim != 1 or np.any(np.diff(rows) <= 0)
             or (rows.size and (rows[0] < 0 or rows[-1] >= h))):

@@ -156,6 +156,12 @@ def is_json_leaf(tp) -> bool:
     return tp in (int, float, str, bool)
 
 
+# An integer past CPython's digit limit (3.11, and 3.10 from 3.10.7): older
+# interpreters read any integer, so those cases cannot arise there.
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="this Python has no integer digit limit")
+
+
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -248,6 +254,13 @@ class TestConfigMachinery:
         pytest.param("adapt.tau=" + "[" * 100_000 + "]" * 100_000, id="adapt.tau=<nested 100,000 deep>"),
         # featurize masks its hashes, so the width must be a power of two
         "model.hash_dim=3000",
+        # widths past 2^12, which numpy refuses at once at 2^40
+        "model.d_embed=1099511627776",
+        "model.d_hidden=1099511627776",
+        "model.d_embed=0",
+        # past CPython's integer digit limit, which json.loads raises as ValueError
+        pytest.param("adapt.epochs=1" + "0" * 5000, id="adapt.epochs=10**5000",
+                     marks=NEEDS_DIGIT_LIMIT),
         # zero-length class mean vectors
         'data.synth={"n_source": 300, "n_target": 360, "source_prior": 0.5, "target_prior": 0.9, '
         '"class_means_source": [[], []], "class_means_target": [[], []]}',
@@ -278,7 +291,7 @@ class TestConfigMachinery:
         "checkpoint_without_meta", "checkpoint_nan_weight", "adapt_checkpoint_nan_weight",
         "evaluate_empty_dataset", "pretrain_four_examples", "pretrain_empty_test_split",
         "checkpoint_overflows", "adapt_pretraining_diverges", "adapt_contrastive_diverges",
-        "pretrain_hash_dim_2_62",
+        "pretrain_hash_dim_2_62", "pretrain_d_embed_2_40",
     ])
     def test_expected_failure_exits_2_with_one_line(self, pipeline_dir, tmp_path, capsys, case):
         data_dir, missing = pipeline_dir["data"], str(tmp_path / "missing")
@@ -360,6 +373,9 @@ class TestConfigMachinery:
             # compact allocates 9 bytes a row, so a width past 2^24 is refused up front
             "pretrain_hash_dim_2_62": with_data_paths(pretrain, data_dir) + [
                 "--set", f"model.hash_dim={2 ** 62}"],
+            # init's hidden_w would be 2^40 x 32 cells; the width bound refuses it first
+            "pretrain_d_embed_2_40": with_data_paths(pretrain, data_dir) + [
+                "--set", f"model.d_embed={2 ** 40}"],
         }[case]
         assert main(argv) == cli.EXIT_USAGE
         err = assert_one_line_error(capsys)
@@ -368,19 +384,22 @@ class TestConfigMachinery:
         assert not (tmp_path / "p").exists() and not (tmp_path / "o").exists()
 
 
-# A JSON input that is not UTF-8, or nested past the parser's recursion
-# limit (RFC 8259 sections 8.1 and 9), is malformed input: exit 2 and one
-# line naming the file, and the line of a JSONL file.
+# A JSON input that is not UTF-8, nested past the parser's recursion limit
+# (RFC 8259 sections 8.1 and 9), or holding an integer past CPython's digit
+# limit is malformed input: exit 2 and one line naming the file, and the
+# line of a JSONL file.
 BAD_JSON = {
     "not_utf8": b'{"text": "caf\xe9 au lait", "label": 1}',
     "nested": b"[" * 100_000 + b"]" * 100_000,
+    "long_integer": b'{"text": "a b", "label": 1' + b"0" * 5000 + b"}",
 }
 JSON_INPUTS = ("data.source", "data.target", "data.calib", "data.target_labels",
                "evaluate --data", "--config", "--correction")
 
 
 @pytest.mark.parametrize("where, fault", [
-    (where, fault) for where in JSON_INPUTS for fault in sorted(BAD_JSON)
+    pytest.param(where, fault, marks=NEEDS_DIGIT_LIMIT if fault == "long_integer" else ())
+    for where in JSON_INPUTS for fault in sorted(BAD_JSON)
     # a non-UTF-8 correction file already exited 2 as a ValueError
     if (where, fault) != ("--correction", "not_utf8")
 ])
@@ -606,11 +625,14 @@ class TestAdapt:
         assert not out.exists()
 
     def test_pretrains_when_no_checkpoint(self, pipeline_dir, tmp_path):
-        out = tmp_path / "nockpt"
+        # pretraining in-process gives what pretrain, then adapt on its checkpoint, gives
+        out, loaded = tmp_path / "nockpt", tmp_path / "ckpt"
         args = ["adapt", "--config", str(pipeline_dir["cfg"]),
                 "--set", f"output.directory={out}"]
         assert main(with_data_paths(args, pipeline_dir["data"])) == 0
-        assert (out / "summary.json").exists()
+        assert main(self.adapt_args(pipeline_dir, loaded)) == 0
+        for name in ("adapted.npz", "trace.csv", "summary.json"):
+            assert (out / name).read_bytes() == (loaded / name).read_bytes(), name
 
 
 class TestEvaluate:

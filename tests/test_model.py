@@ -43,8 +43,14 @@ class TestInit:
             model.init(0, 4, 4, seed=0)
         with pytest.raises(ConfigError):
             model.init(64, 4, 4, seed=-1)
+        with pytest.raises(ConfigError, match="hash_dim must be a power of two"):
+            model.init(1000, 4, 4, seed=0)
+        # 2^40 is safe to test: without the bound numpy refuses it at once
+        for dims in ((64, 2 ** 40, 4), (64, 4, 2 ** 40), (64, 4, 0)):
+            with pytest.raises(ConfigError, match="must be an integer from 1 to 4096"):
+                model.init(*dims, seed=0)
 
-    @pytest.mark.parametrize("shape", [(64, 8, 4, 0), (4096, 32, 32, 3), (1000, 7, 5, 12345)])
+    @pytest.mark.parametrize("shape", [(64, 8, 4, 0), (4096, 32, 32, 3), (1024, 7, 5, 12345)])
     def test_holds_no_row_and_draws_the_dense_blocks_after_the_table(self, shape):
         hash_dim, d_embed, d_hidden, seed = shape
         m = model.init(*shape)
@@ -377,14 +383,15 @@ def init_values_of_unheld(m, rows):
     """rows are not held by m, and compact gives them init's values."""
     assert not np.isin(rows, m.rows).any()
     small, _ = model.compact(m, [data.SparseVec(rows, np.ones(rows.size), m.hash_dim)])
-    assert np.array_equal(small.rows, rows)
-    return np.array_equal(small.embed, oracle_embed(m.seed, m.hash_dim, m.d_embed)[rows])
+    assert np.array_equal(small.rows, np.union1d(m.rows, rows))
+    got = small.embed[np.searchsorted(small.rows, rows)]
+    return np.array_equal(got, oracle_embed(m.seed, m.hash_dim, m.d_embed)[rows])
 
 
 class TestCompact:
     def test_steps_on_compact_rows_match_full_steps_bit_for_bit(self):
         rng = np.random.default_rng(7)
-        m = model.init(64, 4, 5, seed=1)
+        m = held_model(64, 4, 5, seed=1)  # rows 3, 17 and 63 held off init's values
         full = dense(m)
         read = rng.choice(64, size=20, replace=False)
         feats = []
@@ -393,7 +400,8 @@ class TestCompact:
             feats.append(data.SparseVec(idx.astype(np.int64), rng.normal(size=idx.size), 64))
         small, (small_feats,) = model.compact(m, feats)
         rows = small.rows
-        assert np.array_equal(rows, np.unique(np.concatenate([x.indices for x in feats])))
+        read = np.unique(np.concatenate([x.indices for x in feats]))
+        assert np.array_equal(rows, np.union1d(m.rows, read)) and np.setdiff1d(m.rows, read).size
         for x, y in zip(feats, small_feats):
             assert np.array_equal(rows[y.indices], x.indices) and y.values is x.values
             assert y.dim == rows.size
@@ -405,35 +413,40 @@ class TestCompact:
             for params, opt, fs in ((full, opt_full, feats), (small, opt_small, small_feats)):
                 rec = model.forward(params, [fs[i] for i in batch])
                 opt.step(params, model.backward(params, rec, gl, gp))
-        out = model.expand(m, small)
-        assert np.array_equal(out.rows, rows) and same_params(out, full)
-        assert init_values_of_unheld(out, np.setdiff1d(np.arange(64), rows))
-        assert not np.array_equal(out.embed, start.embed[rows])
+        # the trained compact model is the result: unread held rows kept their bits
+        assert same_params(small, full)
+        assert init_values_of_unheld(small, np.setdiff1d(np.arange(64), rows))
+        assert not np.array_equal(small.embed, start.embed[rows])
 
     def test_compact_takes_held_rows_from_the_table(self):
         m = model.init(64, 4, 5, seed=1)
-        small, _ = model.compact(m, [toy_vec()])
-        small.embed += 1.0
-        held = model.expand(m, small)
+        held, _ = model.compact(m, [toy_vec()])
+        held.embed += 1.0
         again, _ = model.compact(held, [toy_vec(pairs=((3, 1.0), (40, 1.0)))])
-        assert again.rows.tolist() == [3, 40]
-        assert np.array_equal(again.embed[0], dense(m).embed[3] + 1.0)
-        assert np.array_equal(again.embed[1], dense(m).embed[40])
-        # expand merges: row 17 stays held, row 40 joins
-        merged = model.expand(held, again)
-        assert merged.rows.tolist() == [3, 17, 40]
-        assert np.array_equal(merged.embed, np.vstack([again.embed[0], held.embed[1], again.embed[1]]))
+        # row 17 stays held though unread, and row 40 joins at init's value
+        assert again.rows.tolist() == [3, 17, 40]
+        assert np.array_equal(again.embed[:2], dense(m).embed[[3, 17]] + 1.0)
+        assert np.array_equal(again.embed[2], dense(m).embed[40])
 
-    def test_compact_and_expand_leave_their_inputs_alone(self):
-        m = model.init(64, 4, 5, seed=1)
+    def test_compact_holds_the_input_rows_bit_for_bit(self):
+        m = held_model()  # rows 3, 17 and 127 of 128
+        feats = [toy_vec(128, ((5, 1.0), (17, 2.0))), toy_vec(128, ((40, 1.0),))]
+        small, (small_feats,) = model.compact(m, feats)
+        assert np.array_equal(small.rows, np.union1d(m.rows, [5, 17, 40]))
+        held = np.searchsorted(small.rows, m.rows)
+        assert np.array_equal(small.embed[held].view(np.int64), m.embed.view(np.int64))
+        assert same_params(small, m)
+        assert [small.rows[y.indices].tolist() for y in small_feats] == [[5, 17], [40]]
+
+    def test_compact_leaves_its_input_alone(self):
+        m = held_model(64, 4, 5, seed=1)
         before = copy.deepcopy(m)
         small, _ = model.compact(m, [toy_vec()], [toy_vec(pairs=((40, 1.0),))])
-        assert small.rows.tolist() == [3, 17, 40]
+        assert small.rows.tolist() == [3, 17, 40, 63]
         for block in small.blocks():
             block += 1.0
-        out = model.expand(m, small)
-        assert same_params(m, before) and m.rows.size == 0
-        assert np.array_equal(out.embed, dense(before).embed[small.rows] + 1.0)
+        small.rows += 1
+        assert same_params(m, before) and np.array_equal(m.rows, before.rows)
         with pytest.raises(ValueError):
             model.compact(m, [toy_vec(dim=128)])
 
@@ -470,6 +483,10 @@ class TestCompact:
         # the input's rows, and the rows source, target and calib read
         read = np.setdiff1d(np.arange(m.hash_dim), unread_rows(m, p["train"], p["pool"], p["calib"]))
         assert np.array_equal(out.rows, np.union1d(m.rows, read))
+        # rows the input holds that no input reads (validation-only) keep their bits
+        kept = np.setdiff1d(m.rows, read)
+        assert kept.size > 0 and np.array_equal(
+            out.embed[np.searchsorted(out.rows, kept)], m.embed[np.searchsorted(m.rows, kept)])
         unheld = np.setdiff1d(np.arange(m.hash_dim), out.rows)
         assert unheld.size > 0 and init_values_of_unheld(out, unheld)
         assert same_params(m, before) and np.array_equal(m.rows, before.rows)
@@ -608,10 +625,10 @@ class TestBestEpoch:
 def held_model(hash_dim=128, d_embed=8, d_hidden=4, seed=7):
     """A model that holds three rows, among them the last, moved off init's values."""
     m = model.init(hash_dim, d_embed, d_hidden, seed)
-    small, _ = model.compact(m, [toy_vec(hash_dim, ((3, 1.0), (17, -0.5), (hash_dim - 1, 2.0)))])
-    for block in small.blocks():
+    held, _ = model.compact(m, [toy_vec(hash_dim, ((3, 1.0), (17, -0.5), (hash_dim - 1, 2.0)))])
+    for block in held.blocks():
         block += 0.25
-    return model.expand(m, small)
+    return held
 
 
 def write_meta(arrays, meta):
@@ -640,6 +657,10 @@ MALFORMED = {
     # compact allocates 9 bytes a row, so a width past 2^24 is refused up front
     "a hash_dim of 2^62": lambda a, meta: meta.update(hash_dim=2 ** 62),
     "a hash_dim not a power of two": lambda a, meta: meta.update(hash_dim=192),
+    # consistent blocks of 2^13 columns, past the width bound
+    "a d_hidden of 2^13": lambda a, meta: (meta.update(d_hidden=2 ** 13), a.update(
+        hidden_w=np.zeros((8, 2 ** 13)), hidden_b=np.zeros(2 ** 13), out_w=np.zeros((2 ** 13, 2)))),
+    "a boolean seed": lambda a, meta: meta.update(seed=True),
     "an infinite table entry": lambda a, meta: a["embed"].__setitem__((1, 2), np.inf),
     "a NaN block": lambda a, meta: a["out_w"].__setitem__((0, 0), np.nan),
     "a float32 block": lambda a, meta: a.update(hidden_b=a["hidden_b"].astype(np.float32)),
@@ -648,6 +669,9 @@ MALFORMED = {
     "meta not UTF-8": lambda a, meta: meta.update(raw=b'{"version": 2, "x": "\xff"}'),
     "meta nested too deep": lambda a, meta: meta.update(raw=b"[" * 100_000 + b"]" * 100_000),
     "meta not an object": lambda a, meta: meta.update(raw=b"[2]"),
+    # past CPython's integer digit limit, which json.loads raises as ValueError
+    "meta with a 5,000-digit integer": lambda a, meta: meta.update(
+        raw=b'{"version": 2, "seed": 1' + b"0" * 5000 + b"}"),
 }
 
 
