@@ -160,8 +160,6 @@ def run_adaptation(
     if len(target) == 0:
         raise DatasetError("target dataset must be non-empty")
     calib_labels = calib.labels()
-    if len(calib) == 0:
-        raise DatasetError("calibration dataset must be non-empty and fully labeled")
 
     work, (src_feats, tgt_feats, calib_feats) = compact(
         model, featurize_dataset(source, model.hash_dim),

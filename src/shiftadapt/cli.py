@@ -207,9 +207,8 @@ def cmd_synth(run: RunConfig) -> int:
             f"({synth_cfg.n_target})"
         )
     source, target = data_mod.gen_synthetic(synth_cfg)
-    for ds in (source, target):
-        if ds.warning:
-            print(f"warning: {ds.warning}", file=sys.stderr)
+    for message in synth_cfg.warnings():
+        print(f"warning: {message}", file=sys.stderr)
 
     rng = np.random.default_rng(np.random.SeedSequence([synth_cfg.seed, _CALIB_SPLIT_TAG]))
     perm = rng.permutation(synth_cfg.n_target)
@@ -245,8 +244,6 @@ def _load_source_splits(run: RunConfig):
 
 
 def _evaluate(params, feats, truth, cp=None) -> metrics_mod.MetricsReport:
-    if len(truth) == 0:
-        raise DatasetError("the evaluation set is empty")
     preds = correction_mod.predict_labels(params, feats, cp)
     return metrics_mod.metrics_report(metrics_mod.confusion(preds, truth))
 

@@ -36,7 +36,6 @@ class Dataset:
     examples: list[Example]
     _: KW_ONLY
     name: str = ""
-    warning: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -45,15 +44,19 @@ class Dataset:
         return all(ex.label is not None for ex in self.examples)
 
     def labels(self) -> np.ndarray:
-        """Every example's label, in order, as int64; DatasetError when one is missing."""
-        if not self.is_fully_labeled():
-            raise DatasetError(f"dataset {self.name!r} has unlabeled examples")
+        """Every example's label, in order, as int64: the one rule for a
+        labelled set. DatasetError when the set is empty or a label is not 0 or 1."""
+        if not self.examples:
+            raise DatasetError(f"dataset {self.name!r} is empty")
+        for ex in self.examples:
+            if not _is_label(ex.label):
+                fault = ("has unlabeled examples" if ex.label is None
+                         else f"has a label other than 0 or 1: {ex.label!r}")
+                raise DatasetError(f"dataset {self.name!r} {fault}")
         return np.fromiter((ex.label for ex in self.examples), np.int64, len(self))
 
     def class_prior(self) -> float:
-        """Fraction of class-1 examples; requires every label to be present."""
-        if not self.examples:
-            raise DatasetError(f"dataset {self.name!r} is empty; prior undefined")
+        """Fraction of class-1 examples; DatasetError as `labels` raises it."""
         return int(self.labels().sum()) / len(self)
 
 
@@ -66,10 +69,15 @@ class SparseVec:
     dim: int
 
 
+def _is_label(raw) -> bool:
+    """Whether raw is a class label: equal to 0 or 1, and not a Python or numpy bool."""
+    return raw in (0, 1) and not isinstance(raw, (bool, np.bool_))
+
+
 def _validate_label(raw, path: str, lineno: int) -> Optional[int]:
     if raw is None:
         return None
-    if raw in (0, 1) and not isinstance(raw, bool):
+    if _is_label(raw):
         return int(raw)
     raise DatasetError(f"{path}:{lineno}: label must be 0, 1 or null, got {raw!r}")
 
@@ -315,8 +323,14 @@ class SynthConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
+    def warnings(self) -> list[str]:
+        """One line for each domain whose two class means are identical."""
+        means = {"source": self.class_means_source, "target": self.class_means_target}
+        return [f"{domain} class means are identical; classes are indistinguishable"
+                for domain, (a, b) in means.items() if np.array_equal(a, b)]
 
-def _gen_domain(rng, n, prior, means, noise_scale, name, warning):
+
+def _gen_domain(rng, n, prior, means, noise_scale, name):
     labels = (rng.random(n) < prior).astype(np.int64)
     means = np.asarray(means, dtype=np.float64)
     # (means[labels] + noise_scale * noise) / QUANT_STEP, computed in place in
@@ -337,7 +351,7 @@ def _gen_domain(rng, n, prior, means, noise_scale, name, warning):
         text = " ".join(f"f{j}{'m' if v < 0 else 'p'}{abs(int(v))}"
                         for j, v in enumerate(levels.tolist()))
         examples.append(Example(text, label))
-    return Dataset(examples, name=name, warning=warning)
+    return Dataset(examples, name=name)
 
 
 def gen_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dataset]:
@@ -345,23 +359,11 @@ def gen_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dataset]:
 
     Target labels are retained for evaluation; the pipeline withholds them
     from training. A degenerate configuration (identical class means within a
-    domain) is accepted but flagged on the returned dataset.
+    domain) is accepted; `SynthConfig.warnings` names it.
     """
     rng = np.random.default_rng(cfg.seed)
-
-    def degenerate(means, label):
-        if np.array_equal(means[0], means[1]):
-            return f"{label} class means are identical; classes are indistinguishable"
-        return None
-
-    source = _gen_domain(
-        rng, cfg.n_source, cfg.source_prior, cfg.class_means_source,
-        cfg.noise_scale, "synthetic-source",
-        degenerate(cfg.class_means_source, "source"),
-    )
-    target = _gen_domain(
-        rng, cfg.n_target, cfg.target_prior, cfg.class_means_target,
-        cfg.noise_scale, "synthetic-target",
-        degenerate(cfg.class_means_target, "target"),
-    )
+    source = _gen_domain(rng, cfg.n_source, cfg.source_prior, cfg.class_means_source,
+                         cfg.noise_scale, "synthetic-source")
+    target = _gen_domain(rng, cfg.n_target, cfg.target_prior, cfg.class_means_target,
+                         cfg.noise_scale, "synthetic-target")
     return source, target

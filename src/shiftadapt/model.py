@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import Dataset, SparseVec, _parse_json, featurize_dataset
-from .errors import AdaptationError, ConfigError, DatasetError
+from .errors import AdaptationError, ConfigError
 from .metrics import balanced_accuracy, confusion
 
 PROB_FLOOR = 1e-12
@@ -340,11 +340,7 @@ def pretrain(params: Model, train: Dataset, val: Dataset, cfg: TrainConfig) -> M
     they do not read comes back unchanged. AdaptationError, naming the
     epoch, when training leaves the float range.
     """
-    if len(train) == 0:
-        raise DatasetError("pretrain requires a non-empty training set")
     train_labels, val_labels = train.labels(), val.labels()
-    if len(val) == 0:
-        raise DatasetError("pretrain requires a non-empty validation split to pick the best epoch")
     work, (train_feats, val_feats) = compact(
         params, featurize_dataset(train, params.hash_dim), featurize_dataset(val, params.hash_dim))
 

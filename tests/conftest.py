@@ -1,7 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from shiftadapt import data, model
+
+# A file or socket that a test here leaves open fails it. These filters sit on
+# the items under tests/ rather than in pyproject.toml, because bench/'s smoke
+# test still leaves its results file open.
+LEAK_FILTERS = ("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+
+
+def pytest_collection_modifyitems(items):
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            for spec in LEAK_FILTERS:
+                item.add_marker(pytest.mark.filterwarnings(spec))
 
 
 def make_scenario(

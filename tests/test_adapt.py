@@ -387,6 +387,17 @@ class TestRunAdaptation:
                 AdaptConfig(label_correction=False),
             )
 
+    @pytest.mark.parametrize("empty, message", [
+        ("target", "^target dataset must be non-empty$"),
+        ("calib", "^dataset 'e' is empty$"),
+    ])
+    def test_empty_target_or_calib_rejected(self, small_pretrained, empty, message):
+        sets = {"target": small_pretrained["pool"], "calib": small_pretrained["calib"],
+                empty: data.Dataset([], name="e")}
+        with pytest.raises(DatasetError, match=message):
+            run_adaptation(small_pretrained["params"], small_pretrained["train"],
+                           sets["target"], sets["calib"], AdaptConfig())
+
     def test_pool_smaller_than_batch_wraps(self, small_pretrained):
         tiny = data.Dataset(small_pretrained["pool"].examples[:6], name="tiny")
         cfg = AdaptConfig(seed=0, epochs=2, batch_size=16, tau=0.55)

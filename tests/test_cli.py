@@ -94,6 +94,19 @@ class TestSynth:
         cfg_path = write_config(tmp_path, tmp_path / "x", **{"data.calib_size": 400})
         assert main(["synth", "--config", str(cfg_path)]) == cli.EXIT_USAGE
 
+    def test_identical_class_means_warn_and_write_every_output(self, tmp_path, capsys):
+        same = [[0.5] * 8, [0.5] * 8]
+        out = tmp_path / "same"
+        cfg_path = write_config(tmp_path, out, **{"data.synth.class_means_source": same,
+                                                  "data.synth.class_means_target": same})
+        assert main(["synth", "--config", str(cfg_path)]) == cli.EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {domain} class means are identical; classes are indistinguishable"
+            for domain in ("source", "target")]
+        for name in ("source.jsonl", "target.jsonl", "target_labels.jsonl", "calib.jsonl",
+                     "resolved_config.json"):
+            assert (out / name).stat().st_size > 0
+
 
 # resolved_config.json of `synth --set output.directory=golden`: every run
 # config default, as a literal so that a default that moves fails here.
@@ -261,6 +274,13 @@ class TestConfigMachinery:
         # past CPython's integer digit limit, which json.loads raises as ValueError
         pytest.param("adapt.epochs=1" + "0" * 5000, id="adapt.epochs=10**5000",
                      marks=NEEDS_DIGIT_LIMIT),
+        # run config values that their dataclass refuses
+        "data.calib_size=0",
+        "data.split_ratios=[0.5, 0.5]",
+        "data.synth=null",
+        "adapt=5",
+        "data.synth.class_means_source=[[-1, -1, -1, -1, -1, -1, -1, -1]]",
+        "train.max_epochs=-1",
         # zero-length class mean vectors
         'data.synth={"n_source": 300, "n_target": 360, "source_prior": 0.5, "target_prior": 0.9, '
         '"class_means_source": [[], []], "class_means_target": [[], []]}',
@@ -292,6 +312,9 @@ class TestConfigMachinery:
         "evaluate_empty_dataset", "pretrain_four_examples", "pretrain_empty_test_split",
         "checkpoint_overflows", "adapt_pretraining_diverges", "adapt_contrastive_diverges",
         "pretrain_hash_dim_2_62", "pretrain_d_embed_2_40",
+        "config_not_object", "correction_not_object", "correction_bias_discarded_not_bool",
+        "dataset_line_without_label", "dataset_text_not_string", "pretrain_zero_split_ratio",
+        "checkpoint_bare_npy", "adapt_empty_target", "adapt_empty_calib", "pretrain_empty_source",
     ])
     def test_expected_failure_exits_2_with_one_line(self, pipeline_dir, tmp_path, capsys, case):
         data_dir, missing = pipeline_dir["data"], str(tmp_path / "missing")
@@ -330,8 +353,13 @@ class TestConfigMachinery:
             return evaluate + ["--checkpoint", str(pretrained), "--correction",
                                text_file(f"correction{len(corrections)}.json", text)]
 
+        bare_npy = tmp_path / "bare.npy"
+        np.save(bare_npy, np.arange(3.0))
+        adapt_on_pretrained = adapt + ["--set", f"model.checkpoint={pretrained}"]
+
         argv = {
             "config_file": ["synth", "--config", missing],
+            "config_not_object": ["synth", "--config", text_file("list.json", "[1, 2]")],
             "dataset": adapt + ["--set", f"data.target={missing}"],
             "checkpoint": adapt + ["--set", f"model.checkpoint={missing}"],
             "evaluate_checkpoint": ["evaluate", "--checkpoint", missing,
@@ -348,6 +376,14 @@ class TestConfigMachinery:
             "correction_w_huge_int": with_correction('{"w": [1%s, 1.0], "b": [0.0, 0.0]}' % ("0" * 400)),
             "correction_discarded_with_bias": with_correction(
                 '{"w": [1, 1], "b": [0, 50], "bias_discarded": true}'),
+            "correction_not_object": with_correction("[1, 1]"),
+            "correction_bias_discarded_not_bool": with_correction(
+                '{"w": [1, 1], "b": [0, 0], "bias_discarded": "yes"}'),
+            "dataset_line_without_label": ["evaluate", "--checkpoint", str(pretrained), "--data",
+                                           text_file("no_label.jsonl", '{"text": "a b"}\n')],
+            "dataset_text_not_string": ["evaluate", "--checkpoint", str(pretrained), "--data",
+                                        text_file("int_text.jsonl", '{"text": 5, "label": 1}\n')],
+            "checkpoint_bare_npy": evaluate + ["--checkpoint", str(bare_npy)],
             "checkpoint_not_npz": evaluate + ["--checkpoint", text_file("ck.npz", "not an npz")],
             "checkpoint_without_meta": evaluate + ["--checkpoint", str(no_meta)],
             "checkpoint_nan_weight": evaluate + ["--checkpoint", str(nan_weight)],
@@ -355,6 +391,8 @@ class TestConfigMachinery:
             "adapt_checkpoint_nan_weight": adapt + ["--set", f"model.checkpoint={nan_weight}"],
             "evaluate_empty_dataset": ["evaluate", "--checkpoint", str(pretrained),
                                        "--data", str(empty)],
+            "adapt_empty_target": adapt_on_pretrained + ["--set", f"data.target={empty}"],
+            "adapt_empty_calib": adapt_on_pretrained + ["--set", f"data.calib={empty}"],
             # 4 rows leave the validation split empty: no epoch could be selected
             "pretrain_four_examples": pretrain + ["--set", f"data.source={four}"],
             # 9 rows at these ratios give 8 train, 1 validation and 0 test rows
@@ -376,9 +414,20 @@ class TestConfigMachinery:
             # init's hidden_w would be 2^40 x 32 cells; the width bound refuses it first
             "pretrain_d_embed_2_40": with_data_paths(pretrain, data_dir) + [
                 "--set", f"model.d_embed={2 ** 40}"],
+            "pretrain_zero_split_ratio": with_data_paths(pretrain, data_dir) + [
+                "--set", "data.split_ratios=[0.8, 0.0, 0.2]"],
+            "pretrain_empty_source": pretrain + ["--set", f"data.source={empty}"],
         }[case]
         assert main(argv) == cli.EXIT_USAGE
         err = assert_one_line_error(capsys)
+        # an empty labelled set is refused by Dataset.labels(), naming the set
+        empty_set = {"evaluate_empty_dataset": "empty", "pretrain_four_examples": "four/val",
+                     "pretrain_empty_test_split": "nine/test", "adapt_empty_calib": "empty",
+                     "pretrain_empty_source": "empty"}
+        if case in empty_set:
+            assert err == f"error: dataset {empty_set[case]!r} is empty\n"
+        if case == "adapt_empty_target":
+            assert err == "error: target dataset must be non-empty\n"
         if case == "correction_w_huge_int":
             assert len(err) < 120, err
         assert not (tmp_path / "p").exists() and not (tmp_path / "o").exists()

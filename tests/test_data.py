@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -81,10 +83,12 @@ class TestLoadJsonl:
         back = data.load_jsonl(p)
         assert back.examples == ds.examples and back.name == "out"
 
-    def test_dataset_name_and_warning_are_keyword_only(self):
+    def test_dataset_name_is_keyword_only(self):
         with pytest.raises(TypeError):
-            data.Dataset([data.Example("a", 1)], "target", "calib")
-        assert data.Dataset([], name="n", warning="w").warning == "w"
+            data.Dataset([data.Example("a", 1)], "target")
+        assert data.Dataset([], name="n").name == "n"
+        # a dataset carries no warning: SynthConfig.warnings names a degenerate scenario
+        assert [f.name for f in dataclasses.fields(data.Dataset)] == ["examples", "name"]
 
     def test_crlf_line_endings(self, tmp_path):
         p = tmp_path / "crlf.jsonl"
@@ -445,10 +449,13 @@ class TestGenSynthetic:
         assert sv.indices.size > 0
 
     def test_degenerate_means_flagged(self):
-        cfg = synth_cfg(class_means_source=([0.5, 0.5], [0.5, 0.5]))
-        source, target = data.gen_synthetic(cfg)
-        assert source.warning is not None
-        assert target.warning is None
+        same = ([0.5, 0.5], [0.5, 0.5])
+        assert synth_cfg().warnings() == []
+        cfg = synth_cfg(class_means_source=same)
+        assert cfg.warnings() == ["source class means are identical; classes are indistinguishable"]
+        assert [len(ds) for ds in data.gen_synthetic(cfg)] == [cfg.n_source, cfg.n_target]
+        both = synth_cfg(class_means_source=same, class_means_target=same)
+        assert [w.split()[0] for w in both.warnings()] == ["source", "target"]
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
@@ -478,14 +485,32 @@ class TestDataset:
     def test_labels(self):
         labels = data.Dataset([data.Example("a", 1), data.Example("b", 0)], name="s").labels()
         assert labels.dtype == np.int64 and labels.tolist() == [1, 0]
-        assert data.Dataset([], name="e").labels().dtype == np.int64
+        with pytest.raises(DatasetError, match="^dataset 'e' is empty$"):
+            data.Dataset([], name="e").labels()
         with pytest.raises(DatasetError, match="^dataset 'u' has unlabeled examples$"):
             data.Dataset([data.Example("a", 1), data.Example("b", None)], name="u").labels()
+
+    @pytest.mark.parametrize("label", [0.5, 2, -1, True, False, "1", np.float64(0.5), np.True_],
+                             ids=["0.5", "2", "-1", "True", "False", "str_1", "np_0.5", "np_True"])
+    def test_labels_refuse_a_label_other_than_0_or_1(self, label):
+        # the rule load_jsonl applies to a file's labels; 0.5 was truncated to 0
+        ds = data.Dataset([data.Example("a b", 0), data.Example("c d", label)], name="x")
+        want = f"^dataset 'x' has a label other than 0 or 1: {re.escape(repr(label))}$"
+        for read in (ds.labels, ds.class_prior):
+            with pytest.raises(DatasetError, match=want):
+                read()
+
+    def test_labels_take_what_load_jsonl_takes(self):
+        # 1.0 and a numpy integer equal 1, as a file's 1.0 does; both read as int64 1
+        ds = data.Dataset([data.Example("a", 1.0), data.Example("b", np.int64(1))], name="f")
+        assert ds.labels().tolist() == [1, 1] and ds.class_prior() == 1.0
 
     def test_class_prior_requires_full_labels(self):
         ds = data.Dataset([data.Example("a", 1), data.Example("b", None)], name="s")
         with pytest.raises(DatasetError):
             ds.class_prior()
+        with pytest.raises(DatasetError, match="^dataset 'e' is empty$"):
+            data.Dataset([], name="e").class_prior()
 
     def test_class_prior(self):
         ds = data.Dataset([data.Example("a", 1), data.Example("b", 0)], name="s")

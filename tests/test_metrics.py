@@ -92,6 +92,8 @@ class TestF1Accuracy:
         assert "f1_undefined" not in metrics_report(cm).degenerate  # denominator is fn=5 > 0
         empty_pos = ConfusionMatrix(tp=0, tn=10, fp=0, fn=0)
         assert "f1_undefined" in metrics_report(empty_pos).degenerate
+        no_neg = metrics_report(ConfusionMatrix(tp=7, tn=0, fp=0, fn=3))
+        assert no_neg.degenerate == ("no_negative_support",) and no_neg.support_neg == 0
 
     def test_hand_computed(self):
         f1, acc = f1_and_accuracy(ConfusionMatrix(tp=8, tn=6, fp=2, fn=4))

@@ -540,7 +540,7 @@ class TestPretrain:
         source, pool, _ = make_scenario(seed=11, n_source=60)
         train, val, _ = data.split(source, (0.7, 0.1, 0.2), seed=0)
         params = model.init(256, 8, 8, seed=0)
-        with pytest.raises(DatasetError):
+        with pytest.raises(DatasetError, match="^dataset 'e' is empty$"):
             model.pretrain(
                 params, data.Dataset([], name="e"), val, model.TrainConfig()
             )
@@ -561,7 +561,7 @@ class TestPretrain:
         source, _, _ = make_scenario(seed=11, n_source=9)
         train, val, _ = data.split(source, (0.7, 0.1, 0.2), seed=0)
         assert len(val) == 0
-        with pytest.raises(DatasetError, match="validation"):
+        with pytest.raises(DatasetError, match="^dataset 'synthetic-source/val' is empty$"):
             model.pretrain(model.init(256, 8, 8, seed=0), train, val,
                            model.TrainConfig(max_epochs=20))
 
