@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,14 +51,13 @@ class AdaptConfig:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord:  # one row of trace.csv: the fields are its columns, in order
     iteration: int  # global, 1-based
     nll: float
     contrastive: float
     combined: float
     gamma: float
     skipped_terms: tuple[str, ...]
-    with_replacement: bool
 
 
 @dataclass(frozen=True)
@@ -78,24 +77,17 @@ class AdaptTrace:
     best_epoch: int = 0  # 0 means the unadapted input model was best
     best_calib_ba: float = 0.0
     correction_warnings: list[str] = field(default_factory=list)  # from every correction fit
+    replacement_batches: int = 0  # source batches drawn with replacement
 
     def write_csv(self, path) -> None:
-        """Per-iteration CSV: iteration, nll, contrastive, combined, gamma, skipped_terms."""
+        """One row per IterationRecord, its fields as the header: numbers by
+        repr, a tuple (the skipped terms) |-joined."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iteration", "nll", "contrastive", "combined", "gamma", "skipped_terms"])
+            writer.writerow(f.name for f in fields(IterationRecord))
             for rec in self.iterations:
-                writer.writerow([
-                    rec.iteration,
-                    repr(rec.nll),
-                    repr(rec.contrastive),
-                    repr(rec.combined),
-                    repr(rec.gamma),
-                    "|".join(rec.skipped_terms),
-                ])
-
-    def replacement_batches(self) -> int:
-        return sum(1 for rec in self.iterations if rec.with_replacement)
+                writer.writerow("|".join(v) if isinstance(v, tuple) else repr(v)
+                                for v in astuple(rec))
 
 
 def class_aware_sample(
@@ -194,6 +186,7 @@ def run_adaptation(
                 t_batch = np.fromiter(positions, np.int64, cfg.batch_size)
                 t_labels = pseudo_labels[t_batch]
                 s_indices, with_repl = class_aware_sample(src_labels, t_labels, rng)
+                trace.replacement_batches += with_repl
                 s_labels = src_labels[s_indices]
                 assert np.array_equal(
                     np.sort(s_labels), np.sort(t_labels)), "sampler histogram mismatch"
@@ -223,22 +216,19 @@ def run_adaptation(
                 if cfg.lam != 0.0:
                     grad_phi = contrastive_grad(s_emb, t_emb, blocks)
                     grad_phi *= cfg.lam
-                gamma, skipped = blocks.gamma, blocks.skipped
-                # Free the kernel and weight blocks now: kept until the next
-                # iteration rebinds them, they would overlap its distance pass.
-                del blocks
-
-                opt.step(work, backward(work, rec, grad_logits, grad_phi))
-
                 trace.iterations.append(IterationRecord(
                     iteration=len(trace.iterations) + 1,
                     nll=nll_total,
                     contrastive=contrastive,
                     combined=nll_total + cfg.lam * contrastive,
-                    gamma=gamma,
-                    skipped_terms=skipped,
-                    with_replacement=with_repl,
+                    gamma=blocks.gamma,
+                    skipped_terms=blocks.skipped,
                 ))
+                # Free the kernel and weight blocks now: kept until the next
+                # iteration rebinds them, they would overlap its distance pass.
+                del blocks
+
+                opt.step(work, backward(work, rec, grad_logits, grad_phi))
 
             calib_logits = forward(work, calib_feats).logits
             ba = logits_ba(calib_logits, calib_labels)

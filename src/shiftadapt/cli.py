@@ -273,6 +273,13 @@ def cmd_adapt(run: RunConfig) -> int:
 
     if run.model.checkpoint is not None:
         pretrained = model_mod.load_checkpoint(run.model.checkpoint)
+        held = {"hash_dim": pretrained.hash_dim, "d_embed": pretrained.d_embed,
+                "d_hidden": pretrained.hidden_w.shape[1], "seed": pretrained.seed}
+        differ = [f"{k} {v} (model.{k} {getattr(run.model, k)})"
+                  for k, v in held.items() if v != getattr(run.model, k)]
+        if differ:  # resolved_config.json would record settings the run did not use
+            raise ConfigError(f"{run.model.checkpoint}: checkpoint differs from the run config: "
+                              + ", ".join(differ))
     else:
         pretrained = _pretrain(run, train, val)
 
@@ -310,7 +317,7 @@ def cmd_adapt(run: RunConfig) -> int:
         "best_epoch": trace.best_epoch,
         "best_calib_ba": trace.best_calib_ba,
         "correction": trace.epochs[-1].correction,
-        "replacement_batches": trace.replacement_batches(),
+        "replacement_batches": trace.replacement_batches,
         "epoch_detail": [to_dict(e) for e in trace.epochs],
     }
 

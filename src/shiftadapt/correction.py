@@ -28,6 +28,11 @@ class CorrectionParams:
     warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        for key in ("w", "b"):
+            value = np.asarray(getattr(self, key))
+            if value.shape != (2,) or value.dtype.kind not in "iuf" or not np.isfinite(value).all():
+                raise ConfigError(f"correction {key!r} must be two finite numbers, "
+                                  f"got {reprlib.repr(value.tolist())}")
         if self.bias_discarded and np.any(np.asarray(self.b) != 0):
             raise ConfigError(
                 f"correction has bias_discarded true but a nonzero b {np.asarray(self.b).tolist()}"
@@ -76,8 +81,6 @@ def apply_correction(cp: CorrectionParams, logits: np.ndarray) -> np.ndarray:
     """softmax(w * logits + b) over the last axis of (..., 2) logits; a
     discarded bias is stored as b = 0."""
     logits = np.asarray(logits, dtype=np.float64)
-    if not (np.all(np.isfinite(cp.w)) and np.all(np.isfinite(cp.b))):
-        raise ValueError("correction parameters must be finite")
     return softmax(cp.w * logits + cp.b)
 
 

@@ -361,12 +361,14 @@ def pretrain(params: Model, train: Dataset, val: Dataset, cfg: TrainConfig) -> M
 
 
 def save_checkpoint(params: Model, path) -> None:
-    """Write a versioned npz checkpoint: the seed, the held rows and their
-    table, and the dense blocks; float64 arrays round-trip bit-exactly."""
+    """Write a versioned npz checkpoint to exactly path (np.savez would add
+    .npz to a path without it): the seed, the held rows and their table, and
+    the dense blocks; float64 arrays round-trip bit-exactly."""
     meta = {"version": CHECKPOINT_VERSION, "hash_dim": params.hash_dim, "seed": params.seed,
             "d_embed": params.d_embed, "d_hidden": params.hidden_w.shape[1]}
-    np.savez(path, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), np.uint8),
-             rows=params.rows, **{b: getattr(params, b) for b in PARAM_BLOCKS})
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), np.uint8),
+                 rows=params.rows, **{b: getattr(params, b) for b in PARAM_BLOCKS})
 
 
 def load_checkpoint(path) -> Model:

@@ -230,7 +230,7 @@ class TestRunAdaptation:
         and trace.csv by repr, which spells a numpy float np.float64(...)."""
         _, _, trace = adapted_run
         for rec in trace.iterations:
-            assert type(rec.iteration) is int and type(rec.with_replacement) is bool
+            assert type(rec.iteration) is int
             for value in (rec.nll, rec.contrastive, rec.combined, rec.gamma):
                 assert type(value) is float
             assert all(type(term) is str for term in rec.skipped_terms)
@@ -239,6 +239,7 @@ class TestRunAdaptation:
             for value in (e.pseudo_prior, e.pseudo_accuracy, e.calib_ba):
                 assert type(value) is float
         assert type(trace.best_epoch) is int and type(trace.best_calib_ba) is float
+        assert type(trace.replacement_batches) is int
 
     def test_epoch_records(self, adapted_run):
         cfg, _, trace = adapted_run
@@ -359,6 +360,46 @@ class TestRunAdaptation:
             cfg,
         )
         assert len(trace.iterations) == 6
+
+    def test_trace_csv_bytes(self, tmp_path):
+        """The header, the reprs of the numbers, the |-joined skipped terms, an
+        empty field when none was skipped, and csv.writer's CRLF line ends."""
+        trace = adapt.AdaptTrace(iterations=[
+            adapt.IterationRecord(iteration=1, nll=0.1 + 0.2, contrastive=-0.0, combined=1e-300,
+                                  gamma=2.5, skipped_terms=("d01:st", "d11:tt")),
+            adapt.IterationRecord(iteration=2, nll=0.5, contrastive=1 / 3, combined=0.5,
+                                  gamma=1e20, skipped_terms=()),
+        ])
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        assert path.read_bytes() == (
+            b"iteration,nll,contrastive,combined,gamma,skipped_terms\r\n"
+            b"1,0.30000000000000004,-0.0,1e-300,2.5,d01:st|d11:tt\r\n"
+            b"2,0.5,0.3333333333333333,0.5,1e+20,\r\n")
+
+    def test_replacement_batches_count_the_replacement_draws(self, small_pretrained,
+                                                            monkeypatch):
+        """A source class smaller than a target batch draws is sampled with
+        replacement: replacement_batches counts the draws that reported it.
+        15 class-1 examples against batches of 16 from a pool of prior 0.9
+        make some draws of each kind."""
+        train = small_pretrained["train"]
+        ones = [ex for ex in train.examples if ex.label == 1][:15]
+        source = data.Dataset([ex for ex in train.examples if ex.label == 0] + ones, name="s")
+        drawn = []
+        real = adapt.class_aware_sample
+
+        def spy(*args):
+            chosen, with_replacement = real(*args)
+            drawn.append(with_replacement)
+            return chosen, with_replacement
+
+        monkeypatch.setattr(adapt, "class_aware_sample", spy)
+        cfg = AdaptConfig(seed=1, epochs=2, batch_size=16, iterations_per_epoch=4)
+        _, trace = run_adaptation(small_pretrained["params"], source, small_pretrained["pool"],
+                                  small_pretrained["calib"], cfg)
+        assert len(drawn) == len(trace.iterations)
+        assert 0 < trace.replacement_batches == sum(drawn) < len(drawn)
 
     def test_trace_csv_roundtrip(self, tmp_path, adapted_run):
         _, _, trace = adapted_run

@@ -315,6 +315,7 @@ class TestConfigMachinery:
         "config_not_object", "correction_not_object", "correction_bias_discarded_not_bool",
         "dataset_line_without_label", "dataset_text_not_string", "pretrain_zero_split_ratio",
         "checkpoint_bare_npy", "adapt_empty_target", "adapt_empty_calib", "pretrain_empty_source",
+        "adapt_checkpoint_differs_from_model",
     ])
     def test_expected_failure_exits_2_with_one_line(self, pipeline_dir, tmp_path, capsys, case):
         data_dir, missing = pipeline_dir["data"], str(tmp_path / "missing")
@@ -417,6 +418,9 @@ class TestConfigMachinery:
             "pretrain_zero_split_ratio": with_data_paths(pretrain, data_dir) + [
                 "--set", "data.split_ratios=[0.8, 0.0, 0.2]"],
             "pretrain_empty_source": pretrain + ["--set", f"data.source={empty}"],
+            # the checkpoint holds hash_dim 1024 and d_embed 16, and seed 0
+            "adapt_checkpoint_differs_from_model": adapt_on_pretrained + [
+                "--set", "model.d_embed=8", "--set", "model.seed=3"],
         }[case]
         assert main(argv) == cli.EXIT_USAGE
         err = assert_one_line_error(capsys)
@@ -428,6 +432,9 @@ class TestConfigMachinery:
             assert err == f"error: dataset {empty_set[case]!r} is empty\n"
         if case == "adapt_empty_target":
             assert err == "error: target dataset must be non-empty\n"
+        if case == "adapt_checkpoint_differs_from_model":
+            assert err == (f"error: {pretrained}: checkpoint differs from the run config: "
+                           "d_embed 16 (model.d_embed 8), seed 0 (model.seed 3)\n")
         if case == "correction_w_huge_int":
             assert len(err) < 120, err
         assert not (tmp_path / "p").exists() and not (tmp_path / "o").exists()

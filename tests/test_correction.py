@@ -74,9 +74,19 @@ class TestApplyCorrection:
             assert np.all(out > 0) and abs(out.sum() - 1.0) <= 1e-12
 
     def test_non_finite_params_rejected(self):
-        cp = CorrectionParams(w=np.array([np.inf, 1.0]), b=np.zeros(2))
-        with pytest.raises(ValueError):
-            apply_correction(cp, np.zeros(2))
+        # Refused when built, so no to_dict() holds a NaN, which JSON cannot spell.
+        for w, b, key, shown in [
+            (np.array([np.inf, 1.0]), np.zeros(2), "w", "[inf, 1.0]"),
+            (np.array([np.nan, 1.0]), np.zeros(2), "w", "[nan, 1.0]"),
+            (np.ones(2), np.array([0.0, -np.inf]), "b", "[0.0, -inf]"),
+            (np.ones(3), np.zeros(2), "w", "[1.0, 1.0, 1.0]"),
+            (np.ones(2), np.zeros((2, 1)), "b", "[[0.0], [0.0]]"),
+            (np.array(["1", "1"]), np.zeros(2), "w", "['1', '1']"),
+            (np.array([True, True]), np.zeros(2), "w", "[True, True]"),
+        ]:
+            with pytest.raises(ConfigError) as info:
+                CorrectionParams(w=w, b=b)
+            assert str(info.value) == f"correction {key!r} must be two finite numbers, got {shown}"
 
     def test_json_roundtrip(self):
         cp = CorrectionParams(w=np.array([1.5, 0.5]), b=np.array([-0.25, 0.25]))

@@ -5,6 +5,10 @@ No linter is a declared dependency, so these are checks on the standard
 library's ast alone. The package's __init__.py is exempt from the import
 check: its imports are the public re-exports.
 
+The library reports through return values (CorrectionParams.warnings,
+AdaptTrace, SynthConfig.warnings()), so only the command line, cli.py,
+writes to the console.
+
 A memo (functools.cache, lru_cache, cached_property) would raise peak memory
 and, in a process that runs several pipelines, carry work from one run to the
 next, so the library keeps no state between calls. For the same reason no
@@ -140,3 +144,41 @@ def test_the_check_sees_a_module_level_container():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_binds_no_mutable_container(path):
     assert module_level_containers(path.read_text(encoding="utf-8")) == []
+
+
+STREAMS = frozenset({"stdout", "stderr"})
+
+
+def console_uses(source: str) -> list[str]:
+    """Each name of print, and of sys.stdout or sys.stderr however sys or the
+    stream is imported, with its line."""
+    tree = ast.parse(source)
+    found = []  # (line, name)
+    sys_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            sys_names |= {a.asname or a.name for a in node.names if a.name == "sys"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found += [(node.lineno, f"sys.{a.name}") for a in node.names if a.name in STREAMS]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "print":
+            found.append((node.lineno, "print"))
+        elif (isinstance(node, ast.Attribute) and node.attr in STREAMS
+                and isinstance(node.value, ast.Name) and node.value.id in sys_names):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_the_check_sees_console_output():
+    assert console_uses("import sys\nprint(1)\nsys.stderr.write('x')\n") \
+        == ["print (line 2)", "sys.stderr (line 3)"]
+    assert console_uses("import sys as s\nf = print\nout = s.stdout\n") \
+        == ["print (line 2)", "s.stdout (line 3)"]
+    assert console_uses("from sys import stderr, argv\n") == ["sys.stderr (line 1)"]
+    assert console_uses("import sys\nsys.argv\nlog.stderr\nprinted = 1\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "cli.py"),
+                         ids=lambda p: p.name)
+def test_only_the_cli_writes_to_the_console(path):
+    assert console_uses(path.read_text(encoding="utf-8")) == []

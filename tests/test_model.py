@@ -697,6 +697,14 @@ class TestCheckpoint:
             meta = json.loads(bytes(npz["meta"]))
         assert meta == {"version": 2, "hash_dim": 128, "seed": 7, "d_embed": 8, "d_hidden": 4}
 
+    @pytest.mark.parametrize("name", ["ckpt", "ckpt.bin", "ckpt.npz"])
+    def test_writes_exactly_its_path(self, tmp_path, name):
+        # np.savez, given a path, appends .npz to one that lacks it
+        m = held_model()
+        model.save_checkpoint(m, tmp_path / name)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert same_params(model.load_checkpoint(tmp_path / name), m)
+
     def test_wide_adapted_round_trip_holds_no_table(self, tmp_path):
         # At 2^18 x 32 the whole table would be 64 MiB, on disk as in memory.
         source, pool, calib = make_scenario(seed=12, n_source=300, n_target=300)
