@@ -2,15 +2,16 @@
 
 Every command is driven by a JSON run config plus --set key=value overrides.
 Its sections, keys, types and defaults are those of `RunConfig` and the
-config dataclasses under it; unknown keys are rejected. Each command writes
-the resolved config next to its outputs. All commands are deterministic
-given the resolved config.
+config dataclasses under it; unknown keys are rejected. Commands compute and
+main writes: `_commit` commits a command's outputs and its resolved config
+together. All commands are deterministic given the resolved config.
 """
 from __future__ import annotations
 
 import argparse
 import copy
 import json
+import os
 import reprlib
 import sys
 from dataclasses import dataclass, field
@@ -162,12 +163,6 @@ def load_config(path, overrides) -> dict:
     return to_dict(_load_run(path, overrides))
 
 
-def _output_dir(run: RunConfig) -> Path:
-    directory = Path(run.output.directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
@@ -177,8 +172,24 @@ def _dump_json(obj, path) -> None:
         fh.write(_json_text(obj) + "\n")
 
 
-def _write_resolved_config(run: RunConfig, out_dir: Path) -> None:
-    _dump_json(to_dict(run), out_dir / "resolved_config.json")
+def _commit(directory: Path, outputs: dict, make: bool) -> None:
+    """Write outputs, each a file name mapped to a writer of a path, to temporary
+    names in directory (made first if make), then rename each onto its name. A
+    failure, or a name that is a directory, leaves the previous outputs as they were."""
+    if make:
+        directory.mkdir(parents=True, exist_ok=True)
+    temps = []
+    try:
+        for name, write in outputs.items():
+            if (directory / name).is_dir():
+                raise IsADirectoryError(f"{directory / name}: is a directory; no output replaced")
+            temps.append(directory / f".{name}.tmp")
+            write(temps[-1])
+        for temp, name in zip(temps, outputs):
+            os.replace(temp, directory / name)
+    finally:  # a renamed temporary is gone already
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 def _require_path(run: RunConfig, key):
@@ -194,9 +205,9 @@ def _pretrain(run: RunConfig, train, val) -> model_mod.Model:
     return model_mod.pretrain(params, train, val, run.train)
 
 
-def cmd_synth(run: RunConfig) -> int:
-    """Write source.jsonl, target.jsonl (unlabeled pool), target_labels.jsonl,
-    and calib.jsonl for the configured synthetic scenario."""
+def cmd_synth(run: RunConfig) -> tuple[dict, dict]:
+    """The configured synthetic scenario's priors and sizes, and its outputs:
+    source.jsonl, target.jsonl (unlabeled pool), target_labels.jsonl and calib.jsonl."""
     synth_cfg = run.data.synth
     if synth_cfg is None:
         raise ConfigError("data.synth is required for the synth command")
@@ -216,23 +227,19 @@ def cmd_synth(run: RunConfig) -> int:
     pool_idx = sorted(int(i) for i in perm[calib_size:])
     calib = data_mod.Dataset([target.examples[i] for i in calib_idx], name="synthetic-calib")
     pool = data_mod.Dataset([target.examples[i] for i in pool_idx], name="synthetic-target")
-
-    out_dir = _output_dir(run)
-    data_mod.write_jsonl(source, out_dir / "source.jsonl")
-    data_mod.write_jsonl(pool, out_dir / "target.jsonl", drop_labels=True)
-    data_mod.write_jsonl(pool, out_dir / "target_labels.jsonl")
-    data_mod.write_jsonl(calib, out_dir / "calib.jsonl")
-    _write_resolved_config(run, out_dir)
-
-    print(_json_text({
+    return {
         "source_prior": source.class_prior(),
         "target_prior": pool.class_prior(),
         "calib_prior": calib.class_prior(),
         "n_source": len(source),
         "n_target": len(pool),
         "n_calib": len(calib),
-    }))
-    return EXIT_OK
+    }, {
+        "source.jsonl": lambda path: data_mod.write_jsonl(source, path),
+        "target.jsonl": lambda path: data_mod.write_jsonl(pool, path, drop_labels=True),
+        "target_labels.jsonl": lambda path: data_mod.write_jsonl(pool, path),
+        "calib.jsonl": lambda path: data_mod.write_jsonl(calib, path),
+    }
 
 
 def _load_source_splits(run: RunConfig):
@@ -248,24 +255,23 @@ def _evaluate(params, feats, truth, cp=None) -> metrics_mod.MetricsReport:
     return metrics_mod.metrics_report(metrics_mod.confusion(preds, truth))
 
 
-def cmd_pretrain(run: RunConfig) -> int:
-    """Train on the source train split, report source test metrics, write a checkpoint."""
+def cmd_pretrain(run: RunConfig) -> tuple[dict, dict]:
+    """Train on the source train split; report source test metrics, output a checkpoint."""
+    if run.model.checkpoint is not None:  # resolved_config.json would record a file not read
+        raise ConfigError("model.checkpoint is read by adapt only; pretrain does not use it")
     train, val, test = _load_source_splits(run)
     trained = _pretrain(run, train, val)
     test_feats = data_mod.featurize_dataset(test, trained.hash_dim)
     report = to_dict(_evaluate(trained, test_feats, test.labels()))
-
-    out_dir = _output_dir(run)
-    model_mod.save_checkpoint(trained, out_dir / "pretrained.npz")
-    data_mod.write_jsonl(test, out_dir / "source_test.jsonl")
-    _dump_json(report, out_dir / "pretrain_metrics.json")
-    _write_resolved_config(run, out_dir)
-    print(_json_text(report))
-    return EXIT_OK
+    return report, {
+        "pretrained.npz": lambda path: model_mod.save_checkpoint(trained, path),
+        "source_test.jsonl": lambda path: data_mod.write_jsonl(test, path),
+        "pretrain_metrics.json": lambda path: _dump_json(report, path),
+    }
 
 
-def cmd_adapt(run: RunConfig) -> int:
-    """Run stage 1 + stage 2 and write the adapted checkpoint, trace, and summary."""
+def cmd_adapt(run: RunConfig) -> tuple[dict, dict]:
+    """Run stage 1 + stage 2; report the summary, output the adapted checkpoint and trace."""
     train, val, _test = _load_source_splits(run)
     target = data_mod.load_jsonl(_require_path(run, "target"))
     calib = data_mod.load_jsonl(_require_path(run, "calib"))
@@ -321,17 +327,15 @@ def cmd_adapt(run: RunConfig) -> int:
         "epoch_detail": [to_dict(e) for e in trace.epochs],
     }
 
-    out_dir = _output_dir(run)
-    model_mod.save_checkpoint(adapted, out_dir / "adapted.npz")
-    trace.write_csv(out_dir / "trace.csv")
-    _dump_json(summary, out_dir / "summary.json")
-    _write_resolved_config(run, out_dir)
-    print(_json_text(summary))
-    return EXIT_OK
+    return summary, {
+        "adapted.npz": lambda path: model_mod.save_checkpoint(adapted, path),
+        "trace.csv": trace.write_csv,
+        "summary.json": lambda path: _dump_json(summary, path),
+    }
 
 
-def cmd_evaluate(checkpoint, dataset_path, correction_path=None, out_path=None) -> int:
-    """Evaluate a checkpoint on a labeled JSONL dataset, optionally through a correction."""
+def cmd_evaluate(checkpoint, dataset_path, correction_path=None) -> dict:
+    """Metrics of a checkpoint on a labeled JSONL dataset, optionally through a correction."""
     params = model_mod.load_checkpoint(checkpoint)
     dataset = data_mod.load_jsonl(dataset_path)
     truth = dataset.labels()
@@ -339,11 +343,7 @@ def cmd_evaluate(checkpoint, dataset_path, correction_path=None, out_path=None) 
     if correction_path is not None:
         cp = correction_mod.CorrectionParams.from_dict(_read_json(correction_path))
     feats = data_mod.featurize_dataset(dataset, params.hash_dim)
-    report = to_dict(_evaluate(params, feats, truth, cp))
-    if out_path is not None:
-        _dump_json(report, out_path)
-    print(_json_text(report))
-    return EXIT_OK
+    return to_dict(_evaluate(params, feats, truth, cp))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,13 +375,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "evaluate":
-            return cmd_evaluate(args.checkpoint, args.data, args.correction, args.out)
-        run = _load_run(args.config, args.set)
-        if args.command == "synth":
-            return cmd_synth(run)
-        if args.command == "pretrain":
-            return cmd_pretrain(run)
-        return cmd_adapt(run)
+            report = cmd_evaluate(args.checkpoint, args.data, args.correction)
+            if args.out is not None:  # into a directory that exists
+                directory, name = os.path.split(args.out)
+                _commit(Path(directory), {name: lambda path: _dump_json(report, path)}, make=False)
+        else:
+            run = _load_run(args.config, args.set)
+            command = {"synth": cmd_synth, "pretrain": cmd_pretrain, "adapt": cmd_adapt}
+            report, outputs = command[args.command](run)
+            outputs["resolved_config.json"] = lambda path: _dump_json(to_dict(run), path)
+            _commit(Path(run.output.directory), outputs, make=True)
+        print(_json_text(report))
+        return EXIT_OK
     except EmptyPseudoLabelSetError as exc:
         print(f"adaptation aborted: {exc}", file=sys.stderr)
         return EXIT_EMPTY_PSEUDO

@@ -93,6 +93,8 @@ class TestAdaptConfig:
         with pytest.raises(ConfigError):
             AdaptConfig(tau=0.5)
         with pytest.raises(ConfigError):
+            AdaptConfig(tau=1.0)
+        with pytest.raises(ConfigError):
             AdaptConfig(lam=-0.1)
         with pytest.raises(ConfigError):
             AdaptConfig(epochs=0)

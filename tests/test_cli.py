@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import typing
@@ -315,7 +317,8 @@ class TestConfigMachinery:
         "config_not_object", "correction_not_object", "correction_bias_discarded_not_bool",
         "dataset_line_without_label", "dataset_text_not_string", "pretrain_zero_split_ratio",
         "checkpoint_bare_npy", "adapt_empty_target", "adapt_empty_calib", "pretrain_empty_source",
-        "adapt_checkpoint_differs_from_model",
+        "adapt_checkpoint_differs_from_model", "pretrain_with_checkpoint",
+        "evaluate_out_in_missing_directory",
     ])
     def test_expected_failure_exits_2_with_one_line(self, pipeline_dir, tmp_path, capsys, case):
         data_dir, missing = pipeline_dir["data"], str(tmp_path / "missing")
@@ -421,6 +424,12 @@ class TestConfigMachinery:
             # the checkpoint holds hash_dim 1024 and d_embed 16, and seed 0
             "adapt_checkpoint_differs_from_model": adapt_on_pretrained + [
                 "--set", "model.d_embed=8", "--set", "model.seed=3"],
+            # pretrain trains from model.*; resolved_config.json would record an unread file
+            "pretrain_with_checkpoint": with_data_paths(pretrain, data_dir) + [
+                "--set", f"model.checkpoint={pretrained}"],
+            # --out is written into a directory that exists; none is made for it
+            "evaluate_out_in_missing_directory": evaluate + [
+                "--checkpoint", str(pretrained), "--out", str(tmp_path / "p" / "metrics.json")],
         }[case]
         assert main(argv) == cli.EXIT_USAGE
         err = assert_one_line_error(capsys)
@@ -435,6 +444,9 @@ class TestConfigMachinery:
         if case == "adapt_checkpoint_differs_from_model":
             assert err == (f"error: {pretrained}: checkpoint differs from the run config: "
                            "d_embed 16 (model.d_embed 8), seed 0 (model.seed 3)\n")
+        if case == "pretrain_with_checkpoint":
+            assert err == ("error: model.checkpoint is read by adapt only; "
+                           "pretrain does not use it\n")
         if case == "correction_w_huge_int":
             assert len(err) < 120, err
         assert not (tmp_path / "p").exists() and not (tmp_path / "o").exists()
@@ -691,6 +703,54 @@ class TestAdapt:
             assert (out / name).read_bytes() == (loaded / name).read_bytes(), name
 
 
+def digests(directory):
+    """Each entry of directory: a file's SHA-256, or "dir"."""
+    return {p.name: "dir" if p.is_dir() else hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in directory.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def two_adapt_runs(pipeline_dir, tmp_path_factory):
+    """adapt at lambda 0.01 and lambda 0, on the pretrained checkpoint; every
+    output of the two differs."""
+    runs = tmp_path_factory.mktemp("two_adapt_runs")
+    argv = {}
+    for lam in ("0.01", "0"):
+        argv[lam] = TestAdapt().adapt_args(pipeline_dir, runs / lam, "--set", f"adapt.lambda={lam}")
+        assert main(argv[lam]) == 0
+    first, second = digests(runs / "0.01"), digests(runs / "0")
+    assert set(first) == set(second) == {"adapted.npz", "trace.csv", "summary.json",
+                                         "resolved_config.json"}
+    assert all(first[name] != second[name] for name in first)
+    return runs / "0.01", argv["0"]
+
+
+@pytest.mark.parametrize("fault", ["adapted.npz", "trace.csv", "summary.json",
+                                   "resolved_config.json", "save_checkpoint_raises"])
+def test_failed_write_keeps_the_previous_outputs(two_adapt_runs, tmp_path, capsys, monkeypatch,
+                                                 fault):
+    # the rerun at lambda 0 would replace every file of the lambda 0.01 run;
+    # one that cannot write an output replaces none and leaves no temporary
+    previous, rerun = two_adapt_runs
+    out = tmp_path / "ad"
+    shutil.copytree(previous, out)
+    rerun = [f"output.directory={out}" if a.startswith("output.directory=") else a for a in rerun]
+    if fault == "save_checkpoint_raises":
+        def no_space(params, path):
+            raise OSError("No space left on device")
+        monkeypatch.setattr(model, "save_checkpoint", no_space)
+    else:
+        (out / fault).unlink()
+        (out / fault).mkdir()
+    before = digests(out)
+    capsys.readouterr()
+    assert main(rerun) == cli.EXIT_USAGE
+    err = assert_one_line_error(capsys)
+    assert digests(out) == before
+    if fault != "save_checkpoint_raises":
+        assert err == f"error: {out / fault}: is a directory; no output replaced\n"
+
+
 class TestEvaluate:
     def test_matches_pretrain_metrics_exactly(self, pipeline_dir, tmp_path, capsys):
         out_file = tmp_path / "metrics.json"
@@ -704,6 +764,7 @@ class TestEvaluate:
         assert json.loads(out_file.read_text()) == json.loads(
             (pipeline_dir["pre"] / "pretrain_metrics.json").read_text()
         )
+        assert capsys.readouterr().out == out_file.read_text()
 
     def test_logits_wider_apart_than_the_float_range(self, pipeline_dir, tmp_path, capsys):
         # every logit pair is about (1.7e308, -1.7e308): finite, but their

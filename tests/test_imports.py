@@ -7,7 +7,9 @@ check: its imports are the public re-exports.
 
 The library reports through return values (CorrectionParams.warnings,
 AdaptTrace, SynthConfig.warnings()), so only the command line, cli.py,
-writes to the console.
+writes to the console. Within cli.py the commands compute and main writes:
+only main prints a report to stdout, and only the writer, _commit, renames
+a file into place or makes a directory.
 
 A memo (functools.cache, lru_cache, cached_property) would raise peak memory
 and, in a process that runs several pipelines, carry work from one run to the
@@ -182,3 +184,40 @@ def test_the_check_sees_console_output():
                          ids=lambda p: p.name)
 def test_only_the_cli_writes_to_the_console(path):
     assert console_uses(path.read_text(encoding="utf-8")) == []
+
+
+def reports_and_commits(source: str) -> list[tuple[str, str]]:
+    """(top-level function or "<module>", call) for each print without
+    file=, each os.rename or os.replace, and each mkdir or makedirs call."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Name) and func.id == "print":
+                if all(k.arg != "file" for k in node.keywords):
+                    found.append((owner, "print"))
+            elif isinstance(func, ast.Attribute):
+                name = f"{getattr(func.value, 'id', '')}.{func.attr}"
+                if func.attr in ("mkdir", "makedirs") or name in ("os.rename", "os.replace"):
+                    found.append((owner, name))
+    return found
+
+
+def test_the_check_sees_reports_and_commits():
+    source = (
+        "import os\n"
+        "def main():\n    print(1)\n    print(2, file=err)\n"
+        "def cmd():\n    print(3)\n    d.mkdir()\n    os.replace(a, b)\n    s.replace('a', 'b')\n"
+        "def _commit():\n    os.makedirs(d)\n    os.rename(a, b)\n"
+        "if __name__ == '__main__':\n    print(4)\n"
+    )
+    assert reports_and_commits(source) == [
+        ("main", "print"), ("cmd", "print"), ("cmd", "d.mkdir"), ("cmd", "os.replace"),
+        ("_commit", "os.makedirs"), ("_commit", "os.rename"), ("<module>", "print")]
+
+
+def test_commands_compute_and_main_writes():
+    found = reports_and_commits((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert {owner for owner, call in found if call == "print"} == {"main"}
+    assert {owner for owner, call in found if call != "print"} == {"_commit"}
