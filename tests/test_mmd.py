@@ -16,8 +16,7 @@ from shiftadapt.mmd import (
 
 def kernels(S, T, gamma):
     """kernel_blocks(S, T) at the fixed bandwidth gamma, in place of the median."""
-    with mock.patch.object(mmd, "median_bandwidth", lambda a, b, dists: gamma):
-        return kernel_blocks(S, T)
+    return captured_blocks(S, T, gamma)[0]
 
 
 def naive_kernel(x, y, gamma):
@@ -78,6 +77,19 @@ class TestMedianBandwidth:
         )
         expected = np.median(dists)  # 15 pairs
         assert kernel_blocks(a, b).gamma == pytest.approx(expected, abs=1e-12)
+
+    def test_far_from_origin_matches_bruteforce(self):
+        # Four points near 1e3 on every coordinate, 1e-4 to 2e-4 apart: the
+        # Gram form on uncentred vectors cancels 1e6-sized norms and missed
+        # this median by 5.9e-3 relative; centred on the union's mean it is exact.
+        steps = np.array([[0.0], [1e-4], [2.5e-4], [4.5e-4]])
+        vecs = 1e3 + steps * np.array([1.0, 0.5, -0.25, 1.0])
+        a = EmbeddingBatch(vecs[:2], np.array([0, 1]))
+        b = EmbeddingBatch(vecs[2:], np.array([1, 0]))
+        expected = np.median(
+            [sum((vecs[i] - vecs[j]) ** 2) for i in range(4) for j in range(i + 1, 4)]
+        )
+        assert kernel_blocks(a, b).gamma == pytest.approx(expected, rel=1e-9)
 
 
 class TestContrastiveLoss:
@@ -218,7 +230,8 @@ class TestEmbeddingBatch:
             EmbeddingBatch(np.zeros((1, 2)), np.array([2]))
 
 
-# Oracles: the whole-array forms that the blocked helpers replaced.
+# Oracles: the difference-form distances and the whole-array forms that
+# the shared pass replaced.
 def oracle_sq_dists(a, b):
     diff = a[:, None, :] - b[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
@@ -236,6 +249,30 @@ def oracle_median_bandwidth(batch_a, batch_b):
     d2 = oracle_sq_dists_by_rows(stacked, stacked)
     med = float(np.median(d2[np.triu_indices(stacked.shape[0], k=1)]))
     return med if med >= 1e-12 else 1.0
+
+
+def oracle_median_of(dists):
+    """The median over the union's strict upper triangle, read from the whole
+    (n + m)^2 matrix that the three blocks (ss, tt, st) make."""
+    ss, tt, st = dists
+    whole = np.block([[ss, st], [st.T, tt]])
+    med = float(np.median(whole[np.triu_indices(len(whole), k=1)]))
+    return med if med >= 1e-12 else 1.0
+
+
+def captured_blocks(S, T, bandwidth=None):
+    """(kernel_blocks(S, T), a copy of the distance blocks it made), taken by
+    wrapping median_bandwidth; bandwidth, when given, replaces the median."""
+    real, seen = mmd.median_bandwidth, []
+
+    def spy(a, b, dists):
+        seen.append(tuple(d.copy() for d in dists))
+        return real(a, b, dists) if bandwidth is None else bandwidth
+
+    with mock.patch.object(mmd, "median_bandwidth", spy):
+        blocks = kernel_blocks(S, T)
+    (dists,) = seen
+    return blocks, dists
 
 
 def oracle_class_pair_weights(sl, tl):
@@ -259,13 +296,13 @@ def oracle_class_pair_weights(sl, tl):
     return w_ss, w_tt, w_st, tuple(skipped)
 
 
-def oracle_loss_and_grad(S, T, gamma):
+def oracle_loss_and_grad(S, T, gamma, dists):
     """(value, grad_source, grad_target, skipped) as computed before the shared
-    pass: whole-array kernels exp(-d / gamma), and the old formulas."""
+    pass: whole-array kernels exp(-d / gamma) of the distance blocks dists,
+    and the old formulas."""
     s, t = S.vectors, T.vectors
     w_ss, w_tt, w_st, skipped = oracle_class_pair_weights(S.labels, T.labels)
-    k_ss, k_tt, k_st = (np.exp(-oracle_sq_dists_by_rows(a, b) / gamma)
-                        for a, b in ((s, s), (t, t), (s, t)))
+    k_ss, k_tt, k_st = (np.exp(-d / gamma) for d in dists)
     value = (w_ss * k_ss).sum() + (w_tt * k_tt).sum() + (w_st * k_st).sum()
     scale = -2.0 / gamma
     c_ss = scale * (w_ss + w_ss.T) * k_ss
@@ -306,8 +343,8 @@ def traced_peak(fn):
 
 
 class TestBlockedEqualsWholeArray:
-    """The blocked distances and the shared pass keep every bit of the
-    whole-array forms."""
+    """The Gram-form distances match the difference form to rounding, and
+    everything made from them keeps every bit of the whole-array forms."""
 
     @pytest.mark.parametrize("d", DIMS)
     def test_sq_dists(self, d):
@@ -315,7 +352,26 @@ class TestBlockedEqualsWholeArray:
         for n in SIZES:
             for m in SIZES:
                 a, b = rng.normal(size=(n, d)), rng.normal(size=(m, d))
-                assert same_bits(mmd._sq_dists(a, b), oracle_sq_dists(a, b)), (n, m, d)
+                got, want = mmd._sq_dists(a, b), oracle_sq_dists(a, b)
+                norms = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)
+                # worst measured over these 144 shapes: 9.1e-16 of the norms
+                assert got.shape == want.shape, (n, m, d)
+                assert np.all(np.abs(got - want) <= 1e-14 * norms), (n, m, d)
+                within = mmd._sq_dists(a, a)
+                assert np.array_equal(within, within.T), (n, d)
+                assert not within.diagonal().any() and within.min() >= 0.0, (n, d)
+
+    def test_sq_dists_near_duplicate_rows(self):
+        # Eight pairs of rows 1e-9 apart: the Gram form's rounding is larger
+        # than their distance, so only the clip, the syrk symmetry and the
+        # diagonal norms keep the block symmetric, non-negative and zero on
+        # the diagonal.
+        x = np.random.default_rng(7).normal(size=(8, 32)) * 3.0
+        x = np.vstack([x, x + 1e-9])
+        d2 = mmd._sq_dists(x, x)
+        assert np.array_equal(d2, d2.T)
+        assert not d2.diagonal().any()
+        assert d2.min() >= 0.0
 
     @pytest.mark.parametrize("d", DIMS)
     def test_median_bandwidth(self, d):
@@ -324,17 +380,15 @@ class TestBlockedEqualsWholeArray:
             for m in SIZES:
                 a = EmbeddingBatch(rng.normal(size=(n, d)), rng.integers(0, 2, n))
                 b = EmbeddingBatch(rng.normal(size=(m, d)), rng.integers(0, 2, m))
-                blocks = kernel_blocks(a, b)
-                s, t = a.vectors, b.vectors
+                blocks, dists = captured_blocks(a, b)
+                # The bandwidth reads the union's strict upper triangle of
+                # the blocks it is given.
+                assert same_bits(blocks.gamma, oracle_median_of(dists)), (n, m, d)
                 oracle = []
-                peak = traced_peak(lambda: oracle.extend((
-                    oracle_median_bandwidth(a, b),
-                    (oracle_sq_dists_by_rows(s, s), oracle_sq_dists_by_rows(t, t),
-                     oracle_sq_dists_by_rows(s, t)))))
-                want_gamma, want = oracle
-                assert same_bits(blocks.gamma, want_gamma), (n, m, d)
+                peak = traced_peak(lambda: oracle.append(oracle_median_bandwidth(a, b)))
+                assert blocks.gamma == pytest.approx(oracle[0], rel=1e-12), (n, m, d)
                 # The bandwidth leaves the shared distances for the kernels.
-                kernels_want = (np.exp(-w / want_gamma) for w in want)
+                kernels_want = (np.exp(-w / blocks.gamma) for w in dists)
                 assert all(same_bits(g, w) for g, w in zip(blocks[1:4], kernels_want)), (n, m, d)
                 # at 400 + 400 rows and d = 65 the whole-array oracle took 323 MiB
                 assert peak < 64 * 2 ** 20, (n, m, d, peak)
@@ -359,9 +413,9 @@ class TestBlockedEqualsWholeArray:
             S = EmbeddingBatch(rng.normal(size=(n, d)), sl)
             T = EmbeddingBatch(rng.normal(size=(m, d)), tl)
             gamma = float(rng.uniform(0.5, 2.0)) * d
-            blocks = kernels(S, T, gamma)
+            blocks, dists = captured_blocks(S, T, gamma)
             loss, grad = contrastive_loss(S, T, blocks), contrastive_grad(S, T, blocks)
-            value, grad_s, grad_t, skipped = oracle_loss_and_grad(S, T, gamma)
+            value, grad_s, grad_t, skipped = oracle_loss_and_grad(S, T, gamma, dists)
             shape = (n, m, d)
             assert same_bits(loss, value), shape
             assert blocks.skipped == skipped, shape
@@ -370,9 +424,9 @@ class TestBlockedEqualsWholeArray:
     @pytest.mark.parametrize("d", (32, 256))
     def test_bandwidth_peak_memory_does_not_grow_with_width(self, d):
         # The whole-array form held an (n + m)^2 * d difference, at
-        # d = 32 here (369 MB). The blocked form holds the three distance
+        # d = 32 here (369 MB). The Gram form holds the three distance
         # blocks, then the pairs the median reads or the kernels' weights,
-        # and one block of differences.
+        # and one block's Gram product beside its distances.
         rng = np.random.default_rng(d)
         a = EmbeddingBatch(rng.normal(size=(600, d)), rng.integers(0, 2, 600))
         b = EmbeddingBatch(rng.normal(size=(600, d)), rng.integers(0, 2, 600))
