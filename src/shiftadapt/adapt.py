@@ -194,19 +194,19 @@ def run_adaptation(
                 # One forward pass: source rows first, so row n_s starts the target rows.
                 rec = forward(work, [src_feats[i] for i in s_indices]
                               + [tgt_feats[i] for i in pseudo_rows[t_batch]])
-                n_s, n_t = len(s_indices), len(t_batch)
+                n_s = len(s_indices)
 
-                # NLL head: equal-weight average of the source and target batch means.
-                weights = np.repeat([0.5 / n_s, 0.5 / n_t], [n_s, n_t])
+                # NLL head: equal-weight average of the source and target batch means,
+                # one weight for every row, since both batches hold batch_size rows.
                 terms, grad_logits = nll_head(rec.logits, np.concatenate([s_labels, t_labels]),
-                                              weights)
+                                              0.5 / cfg.batch_size)
                 # A sequential sum from +0.0, as the trace has always been written: not
                 # pairwise (np.sum) or compensated (sum() from 3.12), and never -0.0.
                 nll_total = 0.0 + float(np.cumsum(terms)[-1])
 
                 # Contrastive head on the phi representations; median-heuristic gamma
-                # per batch pair. One pass makes the kernels and weights that the
-                # value and the gradient share.
+                # per batch pair. One pass makes the value and the coefficient blocks
+                # that the gradient reduces.
                 s_emb = EmbeddingBatch(rec.phi[:n_s], s_labels)
                 t_emb = EmbeddingBatch(rec.phi[n_s:], t_labels)
                 blocks = kernel_blocks(s_emb, t_emb)
@@ -224,8 +224,8 @@ def run_adaptation(
                     gamma=blocks.gamma,
                     skipped_terms=blocks.skipped,
                 ))
-                # Free the kernel and weight blocks now: kept until the next
-                # iteration rebinds them, they would overlap its distance pass.
+                # Free the coefficient blocks now: kept until the next iteration
+                # rebinds them, they would overlap its distance pass.
                 del blocks
 
                 opt.step(work, backward(work, rec, grad_logits, grad_phi))

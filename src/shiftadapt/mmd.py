@@ -5,11 +5,12 @@ included in the double sums) whose three sums, source-source,
 target-target and source-target, are restricted to an indicator-selected
 class pair and normalized by the indicator count. The contrastive loss
 combines the intra-class terms positively and the inter-class terms with
-weight -1/2. Both the value and the gradient are weighted sums over the
-three kernel blocks, with one set of class-pair weights.
+weight -1/2. The value is the sum of W∘K over the three kernel blocks, for
+class-pair weights W, and the gradient reads the same W∘K.
 
-Per batch pair, `kernel_blocks` computes the distances once, takes the
-bandwidth from them and turns them into kernels in place. Distances are
+Per batch pair, `kernel_blocks` makes the whole pass in place: the
+distances once, the bandwidth from them, the kernels, the value, and the
+gradient's coefficient blocks, n^2 + m^2 + nm floats in all. Distances are
 Gram-form BLAS products on vectors centred on the union's mean, which keeps
 the cancellation small, clipped at 0; a within-batch block is exactly
 symmetric with a zero diagonal. Each entry is within 1e-14 (|x|^2 + |y|^2)
@@ -45,15 +46,13 @@ class EmbeddingBatch:
 
 
 class KernelBlocks(NamedTuple):
-    """One batch pair's shared kernel work: the bandwidth, the three kernel
-    blocks and their class-pair weights (see _class_pair_weights)."""
+    """One batch pair's whole discrepancy pass: the bandwidth, the contrastive
+    value, and the gradient's coefficient blocks (see kernel_blocks)."""
     gamma: float
-    k_ss: np.ndarray  # (n, n)
-    k_tt: np.ndarray  # (m, m)
-    k_st: np.ndarray  # (n, m)
-    w_ss: np.ndarray
-    w_tt: np.ndarray
-    w_st: np.ndarray
+    value: float
+    c_ss: np.ndarray  # (n, n)
+    c_tt: np.ndarray  # (m, m)
+    c_st: np.ndarray  # (n, m)
     skipped: tuple[str, ...]
 
 
@@ -87,16 +86,14 @@ def median_bandwidth(batch_a: EmbeddingBatch, batch_b: EmbeddingBatch, dists) ->
 
 
 def _class_pair_weights(sl: np.ndarray, tl: np.ndarray):
-    """(w_ss, w_tt, w_st, skipped): the contrastive loss is the sum of
-    w_ss∘k_ss + w_tt∘k_tt + w_st∘k_st over the three kernel blocks.
+    """(t_ss, t_tt, t_st, skipped): each block's 2x2 class-pair weight table.
+    The contrastive loss is the sum of W∘K over the three kernel blocks, with
+    W = t[:, y][x] for the block's row labels x and column labels y.
 
-    Each (c1, c2) term adds coefficient / indicator count to the class-pair
-    entries of each block, with -2 on the cross block. A block whose
-    indicator count is zero contributes nothing and is named in `skipped`
-    as "d{c1}{c2}:{ss|tt|st}", in term order.
+    Entry (c1, c2) is that term's coefficient / indicator count, with -2 on
+    the cross block. A block whose indicator count is zero contributes
+    nothing and is named in `skipped` as "d{c1}{c2}:{ss|tt|st}", in term order.
     """
-    # Each block entry belongs to exactly one (c1, c2) term, so a 2x2 table of
-    # that term's weight, indexed by the two label vectors, builds the block.
     tables = {part: np.zeros((2, 2)) for part in ("ss", "tt", "st")}
     n_s, n_t = np.bincount(sl, minlength=2), np.bincount(tl, minlength=2)
     skipped = []
@@ -111,32 +108,42 @@ def _class_pair_weights(sl: np.ndarray, tl: np.ndarray):
                 skipped.append(f"d{c1}{c2}:{part}")
             else:
                 tables[part][c1, c2] = part_coef * coef / count
-    w_ss = tables["ss"][:, sl][sl]
-    w_tt = tables["tt"][:, tl][tl]
-    w_st = tables["st"][:, tl][sl]
-    return w_ss, w_tt, w_st, tuple(skipped)
+    return tables["ss"], tables["tt"], tables["st"], tuple(skipped)
 
 
 def kernel_blocks(source: EmbeddingBatch, target: EmbeddingBatch) -> KernelBlocks:
-    """The batch pair's whole discrepancy pass: the three distance blocks,
-    each computed once; median_bandwidth of them; the kernels exp(-d/gamma),
-    made in place from the same blocks; and the labels' class-pair weights."""
+    """The batch pair's whole discrepancy pass. Each distance block, computed
+    once, feeds median_bandwidth, then becomes its kernel exp(-d/gamma) in
+    place; the value adds up W∘K, and the block becomes its gradient
+    coefficients in place: (2 scale) W∘K within a domain, scale W∘K across,
+    with scale = -2/gamma. W is exactly symmetric within a domain, so 2W is
+    the W + W.T that the gradient's sum over both indices needs."""
     # Centring leaves every distance unchanged in exact arithmetic.
     mean = np.vstack([source.vectors, target.vectors]).mean(axis=0)
     s, t = source.vectors - mean, target.vectors - mean
     dists = (_sq_dists(s, s), _sq_dists(t, t), _sq_dists(s, t))
     # Called through the module global: tests fix the bandwidth by patching it.
     gamma = median_bandwidth(source, target, dists)
-    for block in dists:  # d / -gamma is -d / gamma, bit for bit
-        np.divide(block, -gamma, out=block)
+    *tables, skipped = _class_pair_weights(source.labels, target.labels)
+    sl, tl, scale = source.labels, target.labels, -2.0 / gamma
+    sums = []
+    for block, table, x, y, factor in zip(
+        dists, tables, (sl, tl, sl), (sl, tl, tl), (2.0 * scale, 2.0 * scale, scale)
+    ):
+        np.divide(block, -gamma, out=block)  # -d / gamma, bit for bit
         np.exp(block, out=block)
-    return KernelBlocks(gamma, *dists, *_class_pair_weights(source.labels, target.labels))
+        w = table[:, y][x]  # C order, as the blocks are
+        sums.append((w * block).sum())
+        w *= factor
+        block *= w
+    return KernelBlocks(gamma, float(sums[0] + sums[1] + sums[2]), *dists, skipped)
 
 
 def contrastive_loss(
     source: EmbeddingBatch, target: EmbeddingBatch, blocks: KernelBlocks
 ) -> float:
-    """D00 + D11 - (D01 + D10)/2, as the sum of W∘K over the three blocks.
+    """D00 + D11 - (D01 + D10)/2, the sum of W∘K over the three blocks that
+    kernel_blocks made.
 
     Intra-class terms pull same-class examples together across domains; the
     negated inter-class terms push different classes apart. With no skipped
@@ -144,9 +151,7 @@ def contrastive_loss(
     mean-embedding gaps a, b, so it is non-negative and minimized at 0 when
     both classes align across domains. Skipped terms add 0.
     """
-    b = blocks
-    value = (b.w_ss * b.k_ss).sum() + (b.w_tt * b.k_tt).sum() + (b.w_st * b.k_st).sum()
-    return float(value)
+    return blocks.value
 
 
 def contrastive_grad(
@@ -155,23 +160,16 @@ def contrastive_grad(
     """Exact gradient of contrastive_loss w.r.t. every embedding vector: one
     (n + m, d) array, the source rows first.
 
-    Uses dk(x, y)/dx = -(2/gamma) (x - y) k(x, y) on the same kernels and
-    class-pair weights as contrastive_loss.
+    Uses dk(x, y)/dx = -(2/gamma) (x - y) k(x, y), through the coefficient
+    blocks c of kernel_blocks.
     """
     s, t, b = source.vectors, target.vectors, blocks
-    scale = -2.0 / b.gamma
     grad = np.empty((len(s) + len(t), s.shape[1]))
     grad_s, grad_t = grad[: len(s)], grad[len(s) :]
-
-    # Within-domain part: for symmetric weight sums, grad_i = sum_j c_ij (x_i - x_j).
-    c = scale * (b.w_ss + b.w_ss.T) * b.k_ss
-    np.subtract(c.sum(axis=1, keepdims=True) * s, c @ s, out=grad_s)
-    c = scale * (b.w_tt + b.w_tt.T) * b.k_tt
-    np.subtract(c.sum(axis=1, keepdims=True) * t, c @ t, out=grad_t)
-
-    # Cross-domain part; w_st already carries the -2 coefficient.
-    c = scale * b.w_st * b.k_st
-    grad_s += c.sum(axis=1, keepdims=True) * s - c @ t
-    grad_t += c.sum(axis=0)[:, None] * t - c.T @ s
-
+    # Within a domain, grad_i = sum_j c_ij (x_i - x_j).
+    np.subtract(b.c_ss.sum(axis=1, keepdims=True) * s, b.c_ss @ s, out=grad_s)
+    np.subtract(b.c_tt.sum(axis=1, keepdims=True) * t, b.c_tt @ t, out=grad_t)
+    # Across domains; c_st already carries the -2 coefficient.
+    grad_s += b.c_st.sum(axis=1, keepdims=True) * s - b.c_st @ t
+    grad_t += b.c_st.sum(axis=0)[:, None] * t - b.c_st.T @ s
     return grad

@@ -187,20 +187,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def nll_head(logits: np.ndarray, labels: Sequence[int], weights) -> tuple[np.ndarray, np.ndarray]:
-    """Terms -weights[i] * log softmax(logits)[i, labels[i]], the probability
-    floored at 1e-12, and their (n, 2) logit gradients; weights holds one
-    weight per row, or one for all."""
+def nll_head(logits: np.ndarray, labels: Sequence[int], weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """Terms -weight * log softmax(logits)[i, labels[i]], the probability
+    floored at 1e-12, and their (n, 2) logit gradients: one weight for every row."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (len(logits),) or not np.all((labels == 0) | (labels == 1)):
         raise ValueError("need one label in {0, 1} per logits row")
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), labels.shape)
     probs = softmax(logits)
     rows = np.arange(len(labels))
-    terms = -np.log(np.maximum(probs[rows, labels], PROB_FLOOR)) * weights
+    terms = -np.log(np.maximum(probs[rows, labels], PROB_FLOOR)) * weight
     grad = probs.copy()
     grad[rows, labels] -= 1.0
-    return terms, grad * weights[:, None]
+    return terms, grad * weight
 
 
 def backward(

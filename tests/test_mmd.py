@@ -296,6 +296,14 @@ def oracle_class_pair_weights(sl, tl):
     return w_ss, w_tt, w_st, tuple(skipped)
 
 
+def oracle_coefficients(sl, tl, gamma):
+    """The gradient's coefficient on each kernel block (ss, tt, st), as the
+    old formulas below form them from the whole-array weights."""
+    w_ss, w_tt, w_st, _ = oracle_class_pair_weights(sl, tl)
+    scale = -2.0 / gamma
+    return scale * (w_ss + w_ss.T), scale * (w_tt + w_tt.T), scale * w_st
+
+
 def oracle_loss_and_grad(S, T, gamma, dists):
     """(value, grad_source, grad_target, skipped) as computed before the shared
     pass: whole-array kernels exp(-d / gamma) of the distance blocks dists,
@@ -343,8 +351,10 @@ def traced_peak(fn):
 
 
 class TestBlockedEqualsWholeArray:
-    """The Gram-form distances match the difference form to rounding, and
-    everything made from them keeps every bit of the whole-array forms."""
+    """The pass works block by block (source-source, target-target and
+    source-target). Its Gram-form distances match the difference form to
+    rounding, and everything made from them keeps every bit of the
+    whole-array forms."""
 
     @pytest.mark.parametrize("d", DIMS)
     def test_sq_dists(self, d):
@@ -387,9 +397,12 @@ class TestBlockedEqualsWholeArray:
                 oracle = []
                 peak = traced_peak(lambda: oracle.append(oracle_median_bandwidth(a, b)))
                 assert blocks.gamma == pytest.approx(oracle[0], rel=1e-12), (n, m, d)
-                # The bandwidth leaves the shared distances for the kernels.
-                kernels_want = (np.exp(-w / blocks.gamma) for w in dists)
-                assert all(same_bits(g, w) for g, w in zip(blocks[1:4], kernels_want)), (n, m, d)
+                # The bandwidth leaves the shared distances for the kernels,
+                # which become the gradient's coefficient blocks.
+                coefs = oracle_coefficients(a.labels, b.labels, blocks.gamma)
+                want = (np.exp(-w / blocks.gamma) * c for w, c in zip(dists, coefs))
+                got = (blocks.c_ss, blocks.c_tt, blocks.c_st)
+                assert all(same_bits(g, w) for g, w in zip(got, want)), (n, m, d)
                 # at 400 + 400 rows and d = 65 the whole-array oracle took 323 MiB
                 assert peak < 64 * 2 ** 20, (n, m, d, peak)
 
@@ -398,10 +411,12 @@ class TestBlockedEqualsWholeArray:
         for n in SIZES:
             for m in SIZES:
                 for sl, tl in label_cases(rng, n, m):
-                    got = mmd._class_pair_weights(sl, tl)
+                    *tables, skipped = mmd._class_pair_weights(sl, tl)
                     want = oracle_class_pair_weights(sl, tl)
-                    assert got[3] == want[3], (n, m)
-                    assert all(same_bits(g, w) for g, w in zip(got[:3], want[:3])), (n, m)
+                    assert skipped == want[3], (n, m)
+                    # each table gathered by the block's row and column labels
+                    got = (t[:, y][x] for t, x, y in zip(tables, (sl, tl, sl), (sl, tl, tl)))
+                    assert all(same_bits(g, w) for g, w in zip(got, want[:3])), (n, m)
 
     @pytest.mark.parametrize("d", DIMS)
     def test_loss_and_grad(self, d):
@@ -425,18 +440,31 @@ class TestBlockedEqualsWholeArray:
     def test_bandwidth_peak_memory_does_not_grow_with_width(self, d):
         # The whole-array form held an (n + m)^2 * d difference, at
         # d = 32 here (369 MB). The Gram form holds the three distance
-        # blocks, then the pairs the median reads or the kernels' weights,
-        # and one block's Gram product beside its distances.
+        # blocks, then the pairs the median reads or one block's weights and
+        # their product with the kernel, and one block's Gram product beside
+        # its distances.
         rng = np.random.default_rng(d)
         a = EmbeddingBatch(rng.normal(size=(600, d)), rng.integers(0, 2, 600))
         b = EmbeddingBatch(rng.normal(size=(600, d)), rng.integers(0, 2, 600))
         peak = traced_peak(lambda: kernel_blocks(a, b))
         assert peak < 2 * 1200 ** 2 * 8
 
+    def test_pass_holds_one_set_of_blocks(self):
+        # The coefficient blocks are the only arrays the pass returns: no
+        # kernel or weight block is held beside them.
+        rng = np.random.default_rng(6)
+        for n, m in ((1, 1), (7, 24), (193, 2)):
+            blocks = kernel_blocks(random_batch(rng, n, 3), random_batch(rng, m, 3))
+            held = sum(x.size for x in blocks if isinstance(x, np.ndarray))
+            assert held == n * n + m * m + n * m, (n, m)
+
     def test_shared_pass_peak_memory(self):
-        # One iteration's whole pass: distances, bandwidth, kernels and
-        # weights, value and gradient. Three separate calls peaked at 2.32
-        # (n + m)^2 floats, when each built its own kernels and weights.
+        # One iteration's whole pass: distances, bandwidth, kernels,
+        # coefficients, value and gradient. Three separate calls peaked at
+        # 2.32 (n + m)^2 floats, when each built its own kernels and weights;
+        # kernels held beside their expanded weights peaked at 2.03. The
+        # median's pairs beside the distances set the peak now: 1.53, and 1.63
+        # on a process's first pass.
         rng = np.random.default_rng(5)
         a = EmbeddingBatch(rng.normal(size=(600, 32)), rng.integers(0, 2, 600))
         b = EmbeddingBatch(rng.normal(size=(600, 32)), rng.integers(0, 2, 600))
@@ -446,4 +474,4 @@ class TestBlockedEqualsWholeArray:
             contrastive_loss(a, b, blocks)
             contrastive_grad(a, b, blocks)
 
-        assert traced_peak(one_pass) < 2.4 * 1200 ** 2 * 8
+        assert traced_peak(one_pass) < 1.8 * 1200 ** 2 * 8
